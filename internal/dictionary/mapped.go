@@ -37,6 +37,13 @@ import (
 //
 // When the WAL suffix is empty — the steady state right after the writer's
 // checkpoint — the snapshot serves pure-mapped with zero dictionary heap.
+//
+// Extension. Between the writer's checkpoints a reader does not rebuild
+// the overlay from the whole suffix on every refresh: Extend derives the
+// next snapshot from the current one plus only the records appended since,
+// inserting into a copy of its overlay header (fresh bucket lists, fresh
+// or copy-on-write arrays), so older snapshots stay byte-stable while they
+// keep serving.
 
 // mustLeaf materializes sorted leaf i; OpenMappedState validated every
 // leaf record, so failure here is impossible by construction.
@@ -137,12 +144,16 @@ func (st *MappedState) mappedView() LayoutView {
 
 // overlay is the mutable in-heap delta a WAL suffix builds on top of a
 // mapped base. Implementations are single-threaded: a MappedSnapshot
-// constructs its overlay once and never mutates it again.
+// constructs its overlay once and never mutates it again; Extend inserts
+// into a clone.
 type overlay interface {
 	insert(batch []Leaf)
 	rootHash() cryptoutil.Hash
 	layoutView() LayoutView
 	revoked(s serial.Number) bool
+	// clone returns an overlay with the same content whose inserts leave
+	// the receiver — and every view it handed out — untouched.
+	clone() overlay
 }
 
 // ovSorted is the sorted layout's overlay: a full heap materialization of
@@ -171,11 +182,24 @@ func newOvSorted(st *MappedState) *ovSorted {
 	return &ovSorted{l: l}
 }
 
+// clone copies the layout header. The copy shares every array with the
+// views already handed out, so it starts exposed (owned cleared): its
+// first insert merges copy-on-write, and only arrays built since then are
+// extended in place.
+func (o *ovSorted) clone() overlay {
+	l := *o.l
+	l.owned = false
+	return &ovSorted{l: &l}
+}
+
 func (o *ovSorted) insert(batch []Leaf)       { o.l.insert(batch) }
 func (o *ovSorted) rootHash() cryptoutil.Hash { return o.l.rootHash() }
 func (o *ovSorted) layoutView() LayoutView    { return o.l.view() }
+
+// revoked reads the layout without view(), which would expose the arrays
+// and cost every later insert of this construction a full copy.
 func (o *ovSorted) revoked(s serial.Number) bool {
-	_, ok := o.l.view().Revoked(s)
+	_, ok := miniTree{leaves: o.l.leaves, levels: o.l.levels}.revoked(s)
 	return ok
 }
 
@@ -241,11 +265,21 @@ func (f *ovForest) materialize(b ovBucket) ([]Leaf, []cryptoutil.Hash) {
 	return leaves, hashes
 }
 
+// clone copies the overlay header. insert builds a fresh bucket list and
+// fresh heap buckets, and ensure a fresh spine, so the copy never writes
+// to anything the receiver's views read.
+func (f *ovForest) clone() overlay {
+	c := *f
+	return &c
+}
+
 // heapOvBucket builds a heap bucket from merged leaves, exactly like
-// forestLayout.buildBucket (buildLevels is deterministic in the leaf
-// hashes, so reuse-free rebuilds produce identical nodes).
-func heapOvBucket(lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash) ovBucket {
-	levels, _ := buildLevels(hashes, nil, 0)
+// forestLayout.buildBucket: interior nodes left of firstChanged are copied
+// from oldLevels (nil = build from scratch) into fresh arrays, and since
+// buildLevels is deterministic in the leaf hashes the nodes are identical
+// either way.
+func heapOvBucket(lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash, oldLevels [][]cryptoutil.Hash, firstChanged int) ovBucket {
+	levels, _ := buildLevels(hashes, oldLevels, firstChanged)
 	fb := &forestBucket{lo: lo, hi: hi, tree: miniTree{leaves: leaves, levels: levels}}
 	fb.node = cryptoutil.HashBucket(lo.Raw(), hi.Raw(), uint64(len(leaves)), fb.tree.root())
 	return ovBucket{lo: lo, hi: hi, count: len(leaves), node: fb.node, mi: -1, heap: fb}
@@ -265,7 +299,7 @@ func (f *ovForest) appendChunks(dst []ovBucket, lo, hi serial.Number, leaves []L
 		if end < len(leaves) {
 			chi = leaves[end].Serial
 		}
-		dst = append(dst, heapOvBucket(clo, chi, leaves[start:end], hashes[start:end]))
+		dst = append(dst, heapOvBucket(clo, chi, leaves[start:end], hashes[start:end], nil, 0))
 	}
 	return dst
 }
@@ -295,9 +329,16 @@ func (f *ovForest) insert(batch []Leaf) {
 			continue
 		}
 		oldLeaves, oldHashes := f.materialize(b)
-		merged, mergedHashes, _, _ := mergeLeaves(oldLeaves, oldHashes, batch[start:j])
+		merged, mergedHashes, firstChanged, _ := mergeLeaves(oldLeaves, oldHashes, batch[start:j])
 		if len(merged) <= f.cap {
-			next = append(next, heapOvBucket(b.lo, b.hi, merged, mergedHashes))
+			// A heap bucket reuses its levels left of the first changed
+			// leaf, as the writer does; a bucket still on the map has no
+			// heap levels to reuse and is built in full.
+			var oldLevels [][]cryptoutil.Hash
+			if b.heap != nil {
+				oldLevels = b.heap.tree.levels
+			}
+			next = append(next, heapOvBucket(b.lo, b.hi, merged, mergedHashes, oldLevels, firstChanged))
 		} else {
 			next = f.appendChunks(next, b.lo, b.hi, merged, mergedHashes)
 		}
@@ -423,18 +464,27 @@ func (v ovForestView) Prove(s serial.Number) *Proof {
 //
 // Like Snapshot, a constructed MappedSnapshot is immutable and safe for
 // unsynchronized concurrent use. The caller owns the lifetime of the
-// mapped checkpoint bytes, which must outlive the snapshot.
+// mapped checkpoint bytes, which must outlive the snapshot and every
+// snapshot Extended from it.
 type MappedSnapshot struct {
 	ca        CAID
+	pub       ed25519.PublicKey
 	layout    LayoutKind
+	st        *MappedState // the mapped base
+	ov        overlay      // WAL delta over st; nil while pure-mapped
 	view      LayoutView
 	count     uint64
 	root      *SignedRoot
 	rootEnc   []byte // memoized root encoding; spliced into statuses
 	freshness cryptoutil.Hash
 	freshPer  int
-	gen       uint64
-	overlaid  int // WAL update records applied on top of the base
+	// pending is the newest freshness value seen since the last root
+	// change that did not verify at its time of reading (zero if none).
+	// Extend retries it at the new time, so a chain of extensions adopts
+	// what a one-shot NewMappedSnapshot at that time would.
+	pending  cryptoutil.Hash
+	gen      uint64
+	overlaid int // WAL update records applied on top of the base
 }
 
 // NewMappedSnapshot opens state (a v2 checkpoint payload, typically
@@ -462,26 +512,50 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 		}
 	}
 
-	s := &MappedSnapshot{ca: ca, layout: layout, count: st.Count(), root: root, gen: gen}
-	// Base freshness, best-effort like RestoreReplica: adopt the recorded
-	// value if it chains to the anchor at any period up to the current
-	// one; otherwise the anchor (the period-0 statement) serves until the
-	// writer refreshes.
+	s := &MappedSnapshot{ca: ca, pub: pub, layout: layout, st: st, count: st.Count(), root: root, gen: gen}
+	// Base freshness, best-effort like RestoreReplica: apply adopts the
+	// recorded value (as a pending statement) if it chains to the anchor
+	// at any period up to the current one; otherwise the anchor (the
+	// period-0 statement) serves until the writer refreshes.
 	if root != nil {
 		s.freshness = root.Anchor
-		if !st.freshness.IsZero() {
-			if k := freshnessGap(st.freshness, s.freshness, root.Period(now)); k > 0 {
-				s.freshness = st.freshness
-				s.freshPer = k
-			}
-		}
+		s.pending = st.freshness
 	}
+	if err := s.apply(wal, now); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
-	var ov overlay
-	have := st.Count()
+// Extend derives the snapshot for s's state plus wal, the WAL records
+// appended after the ones s was built from, under the same acceptance
+// rule as NewMappedSnapshot: the result is the snapshot NewMappedSnapshot
+// would build over the whole suffix, at the cost of the new records only.
+// s stays valid and unchanged — the overlay is copied before it is
+// extended, and no insert writes to an array s can read — so Proves may
+// run on it concurrently. The result reads the same mapped checkpoint as
+// s.
+func (s *MappedSnapshot) Extend(wal [][]byte, now int64, gen uint64) (*MappedSnapshot, error) {
+	next := *s
+	next.gen = gen
+	if s.ov != nil {
+		next.ov = s.ov.clone()
+	}
+	if err := next.apply(wal, now); err != nil {
+		return nil, err
+	}
+	return &next, nil
+}
+
+// apply overlays WAL records onto s (under construction) and seals its
+// view and root encoding.
+func (s *MappedSnapshot) apply(wal [][]byte, now int64) error {
+	ca, st, root0 := s.ca, s.st, s.root
+	s.adoptFreshness(s.pending, now)
+	have := s.count
 	currentRoot := func() cryptoutil.Hash {
-		if ov != nil {
-			return ov.rootHash()
+		if s.ov != nil {
+			return s.ov.rootHash()
 		}
 		return st.treeRoot
 	}
@@ -489,32 +563,26 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 		if IsFreshnessRecord(raw) {
 			rec, err := DecodeFreshnessRecord(raw)
 			if err != nil {
-				return nil, fmt.Errorf("dictionary: decode WAL record %d for %s: %w", i, ca, err)
-			}
-			if s.root == nil {
-				continue
+				return fmt.Errorf("dictionary: decode WAL record %d for %s: %w", i, ca, err)
 			}
 			// Adopt any strictly newer statement (the writer appended it at
 			// its own pull time, arbitrarily many periods before this map).
-			if k := freshnessGap(rec.Value, s.freshness, s.root.Period(now)-s.freshPer); k > 0 {
-				s.freshness = rec.Value
-				s.freshPer += k
-			}
+			s.adoptFreshness(rec.Value, now)
 			continue
 		}
 		rec, err := DecodeUpdateRecord(raw)
 		if err != nil {
-			return nil, fmt.Errorf("dictionary: decode WAL record %d for %s: %w", i, ca, err)
+			return fmt.Errorf("dictionary: decode WAL record %d for %s: %w", i, ca, err)
 		}
 		msg := rec.Msg
 		if msg == nil || msg.Root == nil {
-			return nil, fmt.Errorf("dictionary: WAL record %d for %s carries no signed root", i, ca)
+			return fmt.Errorf("dictionary: WAL record %d for %s carries no signed root", i, ca)
 		}
 		if msg.Root.CA != ca {
-			return nil, fmt.Errorf("dictionary: WAL record %d root names %s, mapping for %s", i, msg.Root.CA, ca)
+			return fmt.Errorf("dictionary: WAL record %d root names %s, mapping for %s", i, msg.Root.CA, ca)
 		}
-		if err := msg.Root.VerifySignature(pub); err != nil {
-			return nil, fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, err)
+		if err := msg.Root.VerifySignature(s.pub); err != nil {
+			return fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, err)
 		}
 		switch n := msg.Root.N; {
 		case n < have:
@@ -523,7 +591,7 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 			continue
 		case n == have:
 			if !msg.Root.Root.Equal(currentRoot()) {
-				return nil, fmt.Errorf("dictionary: WAL record %d for %s: %w: rotated root differs at n=%d", i, ca, ErrRootMismatch, have)
+				return fmt.Errorf("dictionary: WAL record %d for %s: %w: rotated root differs at n=%d", i, ca, ErrRootMismatch, have)
 			}
 			if msg.Root.Equal(s.root) {
 				continue // re-delivered root; keep the freshness state
@@ -531,42 +599,59 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 		default:
 			missing := n - have
 			if uint64(len(msg.Serials)) < missing {
-				return nil, fmt.Errorf("dictionary: WAL record %d for %s: %w: record covers up to %d, base has %d, batch of %d",
+				return fmt.Errorf("dictionary: WAL record %d for %s: %w: record covers up to %d, base has %d, batch of %d",
 					i, ca, ErrDesynchronized, n, have, len(msg.Serials))
 			}
 			serials := msg.Serials[uint64(len(msg.Serials))-missing:]
-			if ov == nil {
-				if layout.base() == LayoutForest {
-					ov = newOvForest(st)
+			if s.ov == nil {
+				if s.layout.base() == LayoutForest {
+					s.ov = newOvForest(st)
 				} else {
-					ov = newOvSorted(st)
+					s.ov = newOvSorted(st)
 				}
 			}
-			if err := overlayRecord(ov, serials, have, rec.Bounds); err != nil {
-				return nil, fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, err)
+			if err := overlayRecord(s.ov, serials, have, rec.Bounds); err != nil {
+				return fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, err)
 			}
 			have = n
-			if !ov.rootHash().Equal(msg.Root.Root) {
-				return nil, fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, ErrRootMismatch)
+			if !s.ov.rootHash().Equal(msg.Root.Root) {
+				return fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, ErrRootMismatch)
 			}
 			s.overlaid++
 		}
 		s.root = msg.Root
 		s.freshness = msg.Root.Anchor
 		s.freshPer = 0
+		s.pending = cryptoutil.Hash{}
 	}
 
 	s.count = have
-	if s.root != nil {
-		// One root encoding per re-map; see Snapshot.rootEnc.
+	if s.root != nil && (s.rootEnc == nil || s.root != root0) {
+		// One root encoding per root; see Snapshot.rootEnc.
 		s.rootEnc = s.root.Encode()
 	}
-	if ov != nil {
-		s.view = ov.layoutView()
+	if s.ov != nil {
+		s.view = s.ov.layoutView()
 	} else {
 		s.view = st.mappedView()
 	}
-	return s, nil
+	return nil
+}
+
+// adoptFreshness adopts value if it is a strictly newer statement on the
+// current root's chain, valid at now; otherwise it is kept pending for a
+// later Extend to retry.
+func (s *MappedSnapshot) adoptFreshness(value cryptoutil.Hash, now int64) {
+	if s.root == nil || value.IsZero() {
+		return
+	}
+	if k := freshnessGap(value, s.freshness, s.root.Period(now)-s.freshPer); k > 0 {
+		s.freshness = value
+		s.freshPer += k
+		s.pending = cryptoutil.Hash{}
+		return
+	}
+	s.pending = value
 }
 
 // overlayRecord replays one update record's serial suffix into the

@@ -187,27 +187,49 @@ type timing struct {
 // batch > 1 amortizes the clock over that many calls per sample, for
 // operations near the timer's resolution.
 func measure(iters, batch int, fn func()) timing {
-	if batch < 1 {
-		batch = 1
+	return measureInterleaved(iters, 1, []probe{{batch, fn}})[0]
+}
+
+// probe is one operation for measureInterleaved: fn is timed batch calls
+// at a time, amortizing the clock for operations near its resolution.
+type probe struct {
+	batch int
+	fn    func()
+}
+
+// measureInterleaved reports max/min/avg wall time per call of each
+// probe over iters samples. The probes are sampled round-robin — sample i
+// of every probe is taken before sample i+1 of any — so a slow phase of
+// the machine (another process, a GC cycle) lands on every probe alike
+// instead of skewing one against another. Each sample is the fastest of k
+// consecutive timed batches, so a preemption or pause inflates one batch,
+// not the sample.
+func measureInterleaved(iters, k int, probes []probe) []timing {
+	out := make([]timing, len(probes))
+	sums := make([]time.Duration, len(probes))
+	for i := range out {
+		out[i].Min = time.Duration(1<<63 - 1)
 	}
-	var sum time.Duration
-	t := timing{Min: time.Duration(1<<63 - 1)}
 	for i := 0; i < iters; i++ {
-		start := time.Now()
-		for j := 0; j < batch; j++ {
-			fn()
-		}
-		d := time.Since(start) / time.Duration(batch)
-		sum += d
-		if d > t.Max {
-			t.Max = d
-		}
-		if d < t.Min {
-			t.Min = d
+		for p, pr := range probes {
+			batch := max(pr.batch, 1)
+			d := time.Duration(1<<63 - 1)
+			for r := 0; r < max(k, 1); r++ {
+				start := time.Now()
+				for j := 0; j < batch; j++ {
+					pr.fn()
+				}
+				d = min(d, time.Since(start)/time.Duration(batch))
+			}
+			sums[p] += d
+			out[p].Max = max(out[p].Max, d)
+			out[p].Min = min(out[p].Min, d)
 		}
 	}
-	t.Avg = sum / time.Duration(iters)
-	return t
+	for p := range out {
+		out[p].Avg = sums[p] / time.Duration(max(iters, 1))
+	}
+	return out
 }
 
 // micros renders a duration in microseconds, as Tab III. Three decimals

@@ -30,7 +30,8 @@ type tab3Env struct {
 // min / avg over 500 runs) for the RA-side operations (TLS detection,
 // certificate parsing, proof construction) and the client-side operations
 // (proof validation, signature + freshness validation), against the
-// largest-CRL dictionary.
+// largest-CRL dictionary. Each run is the fastest of tab3Samples timed
+// batches, and the operations are measured interleaved.
 func Tab3(quick bool) (*Table, error) {
 	env, err := buildTab3Env(quick)
 	if err != nil {
@@ -49,7 +50,8 @@ func Tab3(quick bool) (*Table, error) {
 		t.AddRow(row.entity, row.op, micros(row.t.Max), micros(row.t.Min), micros(row.t.Avg))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("dictionary size: %d revocations", env.replica.Count()))
+		fmt.Sprintf("dictionary size: %d revocations", env.replica.Count()),
+		fmt.Sprintf("each run: fastest of %d timed batches; operations sampled round-robin", tab3Samples))
 	return t, nil
 }
 
@@ -65,7 +67,11 @@ type subjectStatus struct {
 	status *dictionary.Status
 }
 
-// tab3Rows measures the five Table III operations.
+// tab3Samples is how many timed batches each Table III sample is the
+// fastest of (see measureInterleaved).
+const tab3Samples = 3
+
+// tab3Rows measures the five Table III operations, interleaved.
 func tab3Rows(env *tab3Env, iters int) []tab3Row {
 	j := 0
 	nextAbsent := func() serial.Number {
@@ -73,20 +79,6 @@ func tab3Rows(env *tab3Env, iters int) []tab3Row {
 		j++
 		return s
 	}
-
-	detect := measure(iters, 512, func() {
-		ra.DetectRecord(env.recordHdr)
-	})
-	parse := measure(iters, 8, func() {
-		if _, err := ra.ParseCertificates(env.chainBody); err != nil {
-			panic(err)
-		}
-	})
-	prove := measure(iters, 4, func() {
-		if _, err := env.replica.Prove(nextAbsent()); err != nil {
-			panic(err)
-		}
-	})
 
 	// Client-side: pre-build a mixed pool of presence and absence statuses.
 	now := time.Now().Unix()
@@ -102,34 +94,51 @@ func tab3Rows(env *tab3Env, iters int) []tab3Row {
 		}
 		statuses[k] = subjectStatus{sn: sn, status: st}
 	}
-	k := 0
-	validate := measure(iters, 4, func() {
-		ss := statuses[k%len(statuses)]
-		k++
-		if _, err := ss.status.Proof.Verify(ss.sn, ss.status.Root.Root, ss.status.Root.N); err != nil {
-			panic(err)
-		}
-	})
-	m := 0
-	sigFresh := measure(iters, 4, func() {
-		ss := statuses[m%len(statuses)]
-		m++
-		if err := ss.status.Root.VerifySignature(env.pub); err != nil {
-			panic(err)
-		}
-		p := ss.status.Root.Period(now)
-		if err := cryptoutil.VerifyChainValue(ss.status.Root.Anchor, ss.status.Freshness, p); err != nil {
-			panic(err)
-		}
-	})
-
-	return []tab3Row{
-		{"RA", "TLS detection (DPI)", detect},
-		{"RA", "Certificates parsing (DPI)", parse},
-		{"RA", "Proof construction", prove},
-		{"Client", "Proof validation", validate},
-		{"Client", "Sig. and freshness valid.", sigFresh},
+	k, m := 0, 0
+	rows := []tab3Row{
+		{entity: "RA", op: "TLS detection (DPI)"},
+		{entity: "RA", op: "Certificates parsing (DPI)"},
+		{entity: "RA", op: "Proof construction"},
+		{entity: "Client", op: "Proof validation"},
+		{entity: "Client", op: "Sig. and freshness valid."},
 	}
+	timings := measureInterleaved(iters, tab3Samples, []probe{
+		{512, func() {
+			ra.DetectRecord(env.recordHdr)
+		}},
+		{8, func() {
+			if _, err := ra.ParseCertificates(env.chainBody); err != nil {
+				panic(err)
+			}
+		}},
+		{4, func() {
+			if _, err := env.replica.Prove(nextAbsent()); err != nil {
+				panic(err)
+			}
+		}},
+		{4, func() {
+			ss := statuses[k%len(statuses)]
+			k++
+			if _, err := ss.status.Proof.Verify(ss.sn, ss.status.Root.Root, ss.status.Root.N); err != nil {
+				panic(err)
+			}
+		}},
+		{4, func() {
+			ss := statuses[m%len(statuses)]
+			m++
+			if err := ss.status.Root.VerifySignature(env.pub); err != nil {
+				panic(err)
+			}
+			p := ss.status.Root.Period(now)
+			if err := cryptoutil.VerifyChainValue(ss.status.Root.Anchor, ss.status.Freshness, p); err != nil {
+				panic(err)
+			}
+		}},
+	})
+	for i := range rows {
+		rows[i].t = timings[i]
+	}
+	return rows
 }
 
 // DictOps reproduces the §VII-D dictionary-update measurements: a CA

@@ -44,9 +44,10 @@ type sharedState struct {
 
 // retainedMappings bounds how many superseded checkpoint mappings a
 // sharedDict keeps alive before closing the oldest. A mapping must
-// outlive every Prove that started against it; Proves are microseconds
-// and refreshes are seconds apart, so a four-generation grace is beyond
-// conservative.
+// outlive every Prove that started against it — against any snapshot
+// read from it, extensions included; Proves are microseconds and
+// checkpoint installs are many refreshes apart, so a four-mapping grace
+// is beyond conservative.
 const retainedMappings = 4
 
 // sharedDict serves one CA's dictionary from another process's durable
@@ -66,6 +67,7 @@ type sharedDict struct {
 	mu        sync.Mutex // serializes refresh and close
 	stamp     storage.Stamp
 	haveStamp bool
+	pos       storage.WALPos // where the last read of the writer's WAL ended
 	closed    bool
 	current   *storage.MappedCheckpoint   // mapping backing state's snapshot (nil for heap fallback)
 	retired   []*storage.MappedCheckpoint // superseded mappings, grace-period before close
@@ -94,9 +96,13 @@ func (d *sharedDict) CurrentGeneration() uint64 {
 // writer has published anything.
 func (d *sharedDict) load() *sharedState { return d.state.Load() }
 
-// refresh re-maps the writer's durable state if its stamp moved,
-// publishing a new snapshot generation. It is cheap when nothing changed
-// (two stats on the file backend) and safe to call concurrently.
+// refresh brings the reader up to the writer's durable state if its
+// stamp moved, publishing a new snapshot generation. While the writer's
+// checkpoint is unchanged it reads only the WAL records appended since
+// the last refresh and extends the current snapshot by them; a new
+// checkpoint, or anything the tail read or the extension cannot vouch
+// for, takes a full re-map. It is cheap when nothing changed (two stats
+// on the file backend) and safe to call concurrently.
 func (d *sharedDict) refresh() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -110,12 +116,15 @@ func (d *sharedDict) refresh() error {
 	if d.haveStamp && stamp == d.stamp {
 		return nil
 	}
+	gen := d.CurrentGeneration() + 1
+	now := d.now().Unix()
+	if d.extend(gen, now) {
+		return nil
+	}
 	mc, err := d.mapper.Map(d.name)
 	if err != nil {
 		return fmt.Errorf("ra: map shared %s: %w", d.ca, err)
 	}
-	gen := d.CurrentGeneration() + 1
-	now := d.now().Unix()
 
 	var snap servingSnapshot
 	keepMapping := false
@@ -142,6 +151,9 @@ func (d *sharedDict) refresh() error {
 		snap = replica.Snapshot()
 	}
 
+	// Superseded mappings rotate out only here, when a new one is taken:
+	// every snapshot extended from a mapping reads that mapping, so it
+	// lives as long as the mapping does.
 	if keepMapping {
 		if d.current != nil {
 			d.retired = append(d.retired, d.current)
@@ -156,8 +168,37 @@ func (d *sharedDict) refresh() error {
 		d.current = nil
 	}
 	d.state.Store(&sharedState{snap: snap, gen: gen})
-	d.stamp, d.haveStamp = mc.Stamp, true
+	d.stamp, d.haveStamp, d.pos = mc.Stamp, true, mc.Pos
 	return nil
+}
+
+// extend is refresh's tail path: it reads the WAL records appended since
+// the last read and extends the current mapped snapshot by them, reusing
+// the current mapping. It reports false — leaving everything unchanged —
+// when the current snapshot is not mapped (heap fallback) or when the
+// tail read or the extension fails for any reason; the caller re-maps,
+// which either recovers or reports the error the same way a re-map
+// always did.
+func (d *sharedDict) extend(gen uint64, now int64) bool {
+	st := d.state.Load()
+	if st == nil {
+		return false
+	}
+	prev, ok := st.snap.(*dictionary.MappedSnapshot)
+	if !ok {
+		return false
+	}
+	tail, err := d.mapper.MapTail(d.name, d.pos)
+	if err != nil {
+		return false
+	}
+	ms, err := prev.Extend(tail.WAL, now, gen)
+	if err != nil {
+		return false
+	}
+	d.state.Store(&sharedState{snap: ms, gen: gen})
+	d.stamp, d.pos = tail.Stamp, tail.Pos
+	return true
 }
 
 // mappedBytes reports the size of the currently mapped checkpoint (0 for

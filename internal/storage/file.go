@@ -145,10 +145,16 @@ func (l *fileLog) recover() error {
 	if err != nil {
 		return err
 	}
-	good, records, lastLSN, holed := scanWAL(f, l.ckptLSN)
+	buf, err := io.ReadAll(f)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	sc := scanFrames(buf, l.ckptLSN)
+	records, good := sc.records, sc.good
 	l.wal = f
 	l.records = records
-	if usedFallback || holed {
+	if usedFallback || sc.holed {
 		// The file's lsn sequence no longer lines up with the checkpoint
 		// this recovery anchored on (the damaged newer checkpoint had
 		// truncated records the fallback needs, or frames went missing).
@@ -190,59 +196,71 @@ func (l *fileLog) recover() error {
 		return err
 	}
 	l.walSize = good
-	if lastLSN >= l.nextLSN {
-		l.nextLSN = lastLSN + 1
+	if sc.lastLSN >= l.nextLSN {
+		l.nextLSN = sc.lastLSN + 1
 	}
 	return nil
 }
 
-// scanWAL walks the frames of f, returning the byte offset of the end of
-// the last valid frame, the payloads of the contiguous lsn run
-// after+1, after+2, …, the highest lsn seen, and whether any valid
-// frame fell OUTSIDE that run (holed). A short or checksum-failing frame
-// ends the scan: the bytes from there on are a torn tail. An lsn hole
-// ends record collection (but not the scan): a hole means the records
-// bridging the checkpoint to the survivors were lost — replaying the
-// survivors onto the checkpoint would fabricate a history, so recovery
-// keeps the shorter, consistent prefix instead (and, seeing holed,
-// rewrites the file so the kept prefix and future appends stay
-// recoverable). Holes only arise when recovery fell back to the previous
-// checkpoint after the newest one (whose install truncated the WAL) was
-// damaged.
-func scanWAL(f *os.File, after uint64) (good int64, records [][]byte, lastLSN uint64, holed bool) {
-	var off int64
-	var header [4]byte
+// walScan is the result of walking a buffer of WAL frames.
+type walScan struct {
+	// good is the offset just past the last valid frame: the bytes from
+	// there on are a torn tail.
+	good int64
+	// records are the payloads of the contiguous lsn run after+1,
+	// after+2, …, aliasing the scanned buffer.
+	records [][]byte
+	// lastLSN is the highest lsn seen.
+	lastLSN uint64
+	// holed reports a valid frame with lsn > after outside the run.
+	holed bool
+	// stale reports a valid frame with lsn ≤ after (covered by the
+	// checkpoint: left behind by a crash between install and truncation).
+	stale bool
+}
+
+// scanFrames walks the WAL frames in buf, which starts at a frame
+// boundary. A short, oversized or checksum-failing frame ends the scan:
+// the bytes from there on are a torn tail (a crash mid-append, or a frame
+// the writer is appending right now). An lsn hole ends record collection
+// (but not the scan): a hole means the records bridging the checkpoint to
+// the survivors were lost — replaying the survivors onto the checkpoint
+// would fabricate a history, so recovery keeps the shorter, consistent
+// prefix instead (and, seeing holed, rewrites the file so the kept prefix
+// and future appends stay recoverable). Holes only arise when recovery
+// fell back to the previous checkpoint after the newest one (whose
+// install truncated the WAL) was damaged.
+func scanFrames(buf []byte, after uint64) walScan {
+	sc := walScan{}
 	expect := after + 1
 	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			return off, records, lastLSN, holed // clean EOF or torn length
+		rest := buf[sc.good:]
+		if len(rest) < 4 {
+			return sc // clean end or torn length
 		}
-		n := binary.BigEndian.Uint32(header[:])
-		if n > maxRecordLen {
-			return off, records, lastLSN, holed // corrupt length: tail ends here
+		n := binary.BigEndian.Uint32(rest[:4])
+		if n > maxRecordLen || uint64(len(rest)) < 4+8+uint64(n)+4 {
+			return sc // corrupt length or torn frame: tail ends here
 		}
-		body := make([]byte, 8+int(n)+4)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return off, records, lastLSN, holed // torn frame
-		}
-		payload := body[8 : 8+n]
-		wantCRC := binary.BigEndian.Uint32(body[8+n:])
-		if crc32.ChecksumIEEE(body[:8+n]) != wantCRC {
-			return off, records, lastLSN, holed // bit rot or torn overwrite
+		body := rest[4 : 4+8+n]
+		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(rest[4+8+n:]) {
+			return sc // bit rot or torn overwrite
 		}
 		lsn := binary.BigEndian.Uint64(body[:8])
-		if lsn > lastLSN {
-			lastLSN = lsn
+		if lsn > sc.lastLSN {
+			sc.lastLSN = lsn
 		}
 		switch {
 		case lsn == expect:
-			records = append(records, payload)
+			sc.records = append(sc.records, body[8:8+n:8+n])
 			expect++
 		case lsn > after:
 			// Uncollected live frame: the sequence is out of joint.
-			holed = true
+			sc.holed = true
+		default:
+			sc.stale = true
 		}
-		off += int64(4 + len(body))
+		sc.good += int64(4 + len(body) + 4)
 	}
 }
 

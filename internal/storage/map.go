@@ -2,8 +2,11 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -23,6 +26,11 @@ import (
 // overwritten in place, so a live mapping stays byte-stable while the
 // writer installs its successor, and the reader simply re-maps on the
 // next stamp change.
+//
+// Between checkpoint installs the writer only appends, so a reader that
+// remembers where its last read ended (WALPos) can resume there with
+// MapTail and read just the new records, instead of re-mapping and
+// re-reading the whole WAL suffix on every stamp change.
 
 // Mapper is the optional read-only extension of Backend. Both built-in
 // backends implement it: FileBackend maps checkpoint files (mmap on
@@ -35,17 +43,57 @@ type Mapper interface {
 	Map(name string) (*MappedCheckpoint, error)
 	// MapStamp fingerprints the log's durable state. It is cheap (two
 	// stats for the file backend); an unchanged stamp means a prior Map
-	// is still current, a changed one means the reader should re-Map.
+	// is still current, a changed one means the reader should re-Map —
+	// or, while the checkpoint is unchanged, MapTail.
 	MapStamp(name string) (Stamp, error)
+	// MapTail returns the WAL records appended after pos, the position a
+	// previous Map or MapTail of the same log ended at. It returns
+	// ErrRemap whenever the records cannot be proven to continue pos:
+	// the checkpoint was replaced, the WAL shrank or was rewritten, or
+	// a frame breaks the lsn sequence. The caller then Maps afresh.
+	MapTail(name string, pos WALPos) (*MappedTail, error)
 }
+
+// ErrRemap reports that an incremental read cannot resume from the given
+// position; only a full Map yields a consistent view.
+var ErrRemap = errors.New("storage: log moved past the read position; full re-map needed")
 
 // Stamp is a comparable fingerprint of a log's durable state, used by
 // read-only consumers to detect writer activity. Opaque: compare with
 // ==, do not interpret.
 type Stamp struct {
-	ckptSize int64
-	ckptMod  int64
-	walSize  int64
+	ckpt    ckptID
+	walSize int64 // file backend: WAL size; Memory: mutation counter
+}
+
+// ckptID identifies one installed checkpoint: its file's size and
+// modification time for the file backend, a backend-wide install counter
+// for Memory. The zero value means "no checkpoint".
+type ckptID struct {
+	size, mod int64
+}
+
+// WALPos is where a Map or MapTail read of a log's WAL ended: the
+// checkpoint the records follow, the byte offset just past the last
+// complete, checksum-valid frame returned, and that frame's lsn (the
+// checkpoint's when none was). Opaque; the zero value is not resumable.
+type WALPos struct {
+	ckpt ckptID
+	off  int64
+	lsn  uint64
+	ok   bool // false when the read cannot be resumed (no or fallback checkpoint, lsn hole)
+}
+
+// MappedTail is the result of an incremental read.
+type MappedTail struct {
+	// WAL holds the payloads of the records appended after the read
+	// position, in order (heap-allocated, like MappedCheckpoint.WAL).
+	WAL [][]byte
+	// Stamp fingerprints the durable state, taken before the WAL was
+	// read — same rule as MappedCheckpoint.Stamp.
+	Stamp Stamp
+	// Pos is where this read ended; pass it to the next MapTail.
+	Pos WALPos
 }
 
 // MappedCheckpoint is one read-only view of a log's durable state.
@@ -66,6 +114,8 @@ type MappedCheckpoint struct {
 	// SharedPages reports whether State aliases a file mapping shared
 	// with other processes (false for the heap fallback and Memory).
 	SharedPages bool
+	// Pos is where this view's WAL read ended; MapTail resumes there.
+	Pos WALPos
 
 	mapping *mmap.Mapping
 }
@@ -95,6 +145,7 @@ func (b *FileBackend) Map(name string) (*MappedCheckpoint, error) {
 
 	mc := &MappedCheckpoint{Stamp: stamp}
 	var ckptLSN uint64
+	fromCur := true // the mapped checkpoint is the one the stamp identifies
 	m, state, lsn, err := mapCheckpoint(filepath.Join(dir, ckptName))
 	if err != nil {
 		// Newest damaged or missing mid-install (the window between the
@@ -103,6 +154,7 @@ func (b *FileBackend) Map(name string) (*MappedCheckpoint, error) {
 		// writer-side recovery. Only a doubly-missing pair means a
 		// genuinely fresh log.
 		curMissing := os.IsNotExist(err)
+		fromCur = false
 		m, state, lsn, err = mapCheckpoint(filepath.Join(dir, ckptPrevName))
 		if err != nil && os.IsNotExist(err) && !curMissing {
 			err = fmt.Errorf("%w: checkpoint damaged and no fallback", ErrCorrupt)
@@ -118,21 +170,63 @@ func (b *FileBackend) Map(name string) (*MappedCheckpoint, error) {
 		return nil, fmt.Errorf("storage: map %q: %w", name, err)
 	}
 
-	f, err := os.Open(filepath.Join(dir, walName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return mc, nil
-		}
+	buf, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil && !os.IsNotExist(err) {
 		mc.Close()
 		return nil, fmt.Errorf("storage: map %q: %w", name, err)
 	}
 	// Records covered by the checkpoint (lsn ≤ ckptLSN) are skipped; a
 	// torn tail — including a frame the writer is appending right now —
 	// ends the scan. Readers tolerate, never repair.
-	_, records, _, _ := scanWAL(f, ckptLSN)
-	f.Close()
-	mc.WAL = records
+	sc := scanFrames(buf, ckptLSN)
+	mc.WAL = sc.records
+	// A fallback checkpoint is not the one the stamp identifies, a hole
+	// leaves frames past the kept prefix, and a log without a checkpoint
+	// has nothing to tell it from a destroyed and recreated one: none of
+	// these reads is resumable.
+	mc.Pos = WALPos{
+		ckpt: stamp.ckpt,
+		off:  sc.good,
+		lsn:  ckptLSN + uint64(len(sc.records)),
+		ok:   fromCur && mc.State != nil && !sc.holed,
+	}
 	return mc, nil
+}
+
+// MapTail implements Mapper: it resumes at the end of the last complete
+// frame the previous read returned, not at the stamped WAL size, and
+// accepts only frames that continue the lsn sequence exactly.
+func (b *FileBackend) MapTail(name string, pos WALPos) (*MappedTail, error) {
+	stamp, err := b.MapStamp(name)
+	if err != nil {
+		return nil, err
+	}
+	if !pos.ok || stamp.ckpt != pos.ckpt || stamp.walSize < pos.off {
+		return nil, ErrRemap
+	}
+	f, err := os.Open(filepath.Join(b.Dir, url.QueryEscape(name), walName))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, ErrRemap
+		}
+		return nil, fmt.Errorf("storage: map tail %q: %w", name, err)
+	}
+	buf, err := io.ReadAll(io.NewSectionReader(f, pos.off, math.MaxInt64-pos.off))
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("storage: map tail %q: %w", name, err)
+	}
+	// Past pos every frame must be the next lsn: a covered or skipped lsn
+	// means the file was truncated and rewritten since the last read (a
+	// checkpoint install racing the stamp, or a recovery rewrite).
+	sc := scanFrames(buf, pos.lsn)
+	if sc.holed || sc.stale {
+		return nil, ErrRemap
+	}
+	next := pos
+	next.off += sc.good
+	next.lsn += uint64(len(sc.records))
+	return &MappedTail{WAL: sc.records, Stamp: stamp, Pos: next}, nil
 }
 
 // MapStamp implements Mapper.
@@ -143,8 +237,7 @@ func (b *FileBackend) MapStamp(name string) (Stamp, error) {
 	dir := filepath.Join(b.Dir, url.QueryEscape(name))
 	var s Stamp
 	if fi, err := os.Stat(filepath.Join(dir, ckptName)); err == nil {
-		s.ckptSize = fi.Size()
-		s.ckptMod = fi.ModTime().UnixNano()
+		s.ckpt = ckptID{size: fi.Size(), mod: fi.ModTime().UnixNano()}
 	}
 	if fi, err := os.Stat(filepath.Join(dir, walName)); err == nil {
 		s.walSize = fi.Size()
@@ -193,13 +286,14 @@ func (m *Memory) Map(name string) (*MappedCheckpoint, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	mc := &MappedCheckpoint{Stamp: Stamp{ckptMod: int64(st.version)}}
+	mc := &MappedCheckpoint{Stamp: st.stamp()}
 	if st.checkpoint != nil {
 		mc.State = append([]byte(nil), st.checkpoint...)
 	}
 	for _, rec := range st.wal {
 		mc.WAL = append(mc.WAL, append([]byte(nil), rec.Payload...))
 	}
+	mc.Pos = WALPos{ckpt: mc.Stamp.ckpt, lsn: st.nextLSN - 1, ok: st.checkpoint != nil}
 	return mc, nil
 }
 
@@ -213,5 +307,37 @@ func (m *Memory) MapStamp(name string) (Stamp, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return Stamp{ckptMod: int64(st.version)}, nil
+	return st.stamp(), nil
+}
+
+// MapTail implements Mapper.
+func (m *Memory) MapTail(name string, pos WALPos) (*MappedTail, error) {
+	m.mu.Lock()
+	st, ok := m.logs[name]
+	m.mu.Unlock()
+	if !ok || !pos.ok {
+		return nil, ErrRemap
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	t := &MappedTail{Stamp: st.stamp(), Pos: pos}
+	if t.Stamp.ckpt != pos.ckpt {
+		return nil, ErrRemap
+	}
+	for _, rec := range st.wal {
+		if rec.LSN <= pos.lsn {
+			continue
+		}
+		if rec.LSN != t.Pos.lsn+1 {
+			return nil, ErrRemap
+		}
+		t.WAL = append(t.WAL, append([]byte(nil), rec.Payload...))
+		t.Pos.lsn++
+	}
+	return t, nil
+}
+
+// stamp fingerprints the log. Caller holds st.mu.
+func (st *memoryState) stamp() Stamp {
+	return Stamp{ckpt: ckptID{mod: int64(st.ckptID)}, walSize: int64(st.version)}
 }

@@ -35,6 +35,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Backend opens durable logs for named dictionaries. Implementations:
@@ -79,8 +80,9 @@ type Log interface {
 // need. It performs no framing or checksumming — there is no medium to
 // corrupt — but honors the same Load/Append/Checkpoint contract.
 type Memory struct {
-	mu   sync.Mutex
-	logs map[string]*memoryState
+	mu       sync.Mutex
+	logs     map[string]*memoryState
+	installs atomic.Uint64 // checkpoint installs, numbering memoryState.ckptID
 }
 
 // NewMemory returns an empty in-memory backend.
@@ -97,9 +99,12 @@ type memoryState struct {
 	wal        []Frame
 	nextLSN    uint64
 	ckptLSN    uint64
-	// version counts mutations; it backs the Memory backend's MapStamp
-	// the way file size/mtime back the file backend's.
+	// version counts mutations and ckptID numbers the installed
+	// checkpoint (unique across the backend, 0 = none); they back the
+	// Memory backend's MapStamp the way file sizes and mtimes back the
+	// file backend's.
 	version uint64
+	ckptID  uint64
 }
 
 // Open implements Backend.
@@ -156,6 +161,7 @@ func (l *memoryLog) Checkpoint(state []byte) error {
 	l.state.wal = nil
 	l.state.ckptLSN = l.state.nextLSN - 1
 	l.state.version++
+	l.state.ckptID = l.backend.installs.Add(1)
 	return nil
 }
 
