@@ -1,6 +1,7 @@
 package ca
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +122,27 @@ func TestCAWarmStartWrongKeyFailsLoudly(t *testing.T) {
 	}
 	if _, err := New(Config{ID: "CA1", Delta: 10 * time.Second, Signer: other, Storage: backend}); err == nil {
 		t.Fatal("warm start under a different signing key did not fail")
+	}
+}
+
+// TestCAWarmStartRefusesV1Checkpoint: a durable log whose checkpoint is
+// in the retired v1 encoding (a literal: version byte 0x01, an empty
+// dictionary; the encoder is gone) fails the CA's start loudly, naming
+// the format, instead of starting a CA from an empty or migrated state.
+func TestCAWarmStartRefusesV1Checkpoint(t *testing.T) {
+	backend := storage.NewMemory()
+	lg, err := backend.Open("CA1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}, append(make([]byte, cryptoutil.HashSize), 0)...)
+	if err := lg.Checkpoint(v1); err != nil {
+		t.Fatal(err)
+	}
+	lg.Close()
+	_, err = New(Config{ID: "CA1", Delta: 10 * time.Second, Storage: backend})
+	if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint format") {
+		t.Fatalf("warm start over a v1 checkpoint: err = %v, want an unsupported-format error", err)
 	}
 }
 

@@ -19,8 +19,22 @@ import (
 // transport, every connection opened by the first burst is reusable by
 // the second.
 func TestDefaultClientReusesConnections(t *testing.T) {
-	var conns atomic.Int64
+	const parallel = 8
+	var conns, arrived atomic.Int64
+	// The first burst's requests are held until all of them have arrived,
+	// so each one occupies its own connection and the pool ends up with
+	// exactly parallel idle connections; without the barrier a request that
+	// finished early could be reused within the burst, leaving the second
+	// burst one connection short.
+	allArrived := make(chan struct{})
 	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if arrived.Add(1) == parallel {
+			close(allArrived)
+		}
+		select {
+		case <-allArrived:
+		case <-time.After(5 * time.Second):
+		}
 		w.Write([]byte("CA1\n"))
 	}))
 	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
@@ -32,7 +46,6 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 	defer srv.Close()
 
 	client := &HTTPClient{BaseURL: srv.URL} // nil Client: the shared default transport
-	const parallel = 8
 
 	burst := func() {
 		var wg sync.WaitGroup

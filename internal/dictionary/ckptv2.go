@@ -11,12 +11,11 @@ import (
 	"ritm/internal/serial"
 )
 
-// Checkpoint format v2: an offset-indexed encoding of one dictionary's
-// committed state that is traversable WITHOUT deserialization. Where the
-// v1 encoding (PersistentState.Encode) persists the issuance log and makes
-// recovery replay it — O(n) hashing to rebuild the commitment structure —
-// v2 persists the structure itself in fixed-width, offset-computable
-// records, so that:
+// Checkpoint format v2, the only checkpoint format: an offset-indexed
+// encoding of one dictionary's committed state that is traversable
+// WITHOUT deserialization. Rather than an issuance log that recovery must
+// replay — O(n) hashing to rebuild the commitment structure — v2 persists
+// the structure itself in fixed-width, offset-computable records, so that:
 //
 //   - a restart materializes the heap tree by copying arrays instead of
 //     rehashing them (map-don't-replay), and
@@ -70,9 +69,8 @@ import (
 // The CA-side restore path keeps full replay verification (see
 // RestoreAuthority); v2 only changes what replicas and mapped readers do.
 
-// stateV2Magic opens every v2 checkpoint payload. The first byte ('R')
-// is distinct from v1's leading version byte 0x01 and from a WAL record's
-// leading bool byte (0x00/0x01), so all three dispatch on one byte.
+// stateV2Magic opens every v2 checkpoint payload; a payload without it is
+// refused as an unsupported checkpoint format.
 var stateV2Magic = []byte("RITMDV2\x00")
 
 // v2 section identifiers.
@@ -95,7 +93,8 @@ const (
 	v2HeaderLen     = 16 // magic + count + reserved
 )
 
-// ErrBadCheckpoint reports a v2 checkpoint that fails structural
+// ErrBadCheckpoint reports a checkpoint payload that is not a valid v2
+// checkpoint: an unsupported format, or v2 bytes that fail structural
 // validation (framing, CRC, ordering, or tiling invariants). Callers treat
 // it like any other corruption: refuse loudly, never degrade silently.
 var ErrBadCheckpoint = errors.New("dictionary: malformed v2 checkpoint")
@@ -105,29 +104,15 @@ func IsStateV2(buf []byte) bool {
 	return len(buf) >= len(stateV2Magic) && bytes.Equal(buf[:len(stateV2Magic)], stateV2Magic)
 }
 
-// levelSizesFor returns the node count of every level of a tree over n
-// leaves, level 0 first: n, ⌈n/2⌉, …, 1. Nil for n == 0. This is the shape
-// contract shared with buildLevels, which is what lets the mapped reader
-// derive every level offset from the leaf count alone.
-func levelSizesFor(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	sizes := make([]int, 1, 2+bitsLen(n))
-	sizes[0] = n
+// totalLevelNodes returns the total node count over all levels of a tree
+// with n leaves, level 0 included: n + ⌈n/2⌉ + … + 1 (0 for n == 0). The
+// halving is the shape contract shared with buildLevels, which is what
+// lets the mapped reader derive every level offset from the leaf count.
+func totalLevelNodes(n int) int {
+	total := n
 	for n > 1 {
 		n = (n + 1) / 2
-		sizes = append(sizes, n)
-	}
-	return sizes
-}
-
-// totalLevelNodes returns the total node count over all levels of a tree
-// with n leaves (level 0 included).
-func totalLevelNodes(n int) int {
-	total := 0
-	for _, s := range levelSizesFor(n) {
-		total += s
+		total += n
 	}
 	return total
 }
@@ -242,7 +227,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 	le.PutUint32(header, uint32(layout))
 
 	switch v := view.(type) {
-	case sortedView:
+	case *sortedView:
 		le.PutUint64(header[8:], uint64(len(v.leaves)))
 		secs = []v2Section{
 			{v2SecHeader, header},
@@ -252,7 +237,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 			{v2SecRoot, encodeRootSection(v.Root(), freshness, root, seed)},
 		}
 
-	case forestView:
+	case *forestView:
 		count := 0
 		for _, b := range v.buckets {
 			count += len(b.tree.leaves)
@@ -294,7 +279,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 			{v2SecLevels, leafHashes},
 			{v2SecBucketDir, dir},
 			{v2SecBucketLevels, blob},
-			{v2SecSpine, encodeHashLevels(v.spine)},
+			{v2SecSpine, encodeHashLevels(v.spine.levels)},
 			{v2SecBatches, batches},
 			{v2SecRoot, encodeRootSection(v.Root(), freshness, root, seed)},
 		}
@@ -308,10 +293,10 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 }
 
 // PersistentStateV2 exports the replica's current committed state encoded
-// in checkpoint format v2. Like PersistentState it reads one published
-// snapshot, so log, root, and freshness are mutually consistent; unlike
-// v1 it persists the commitment structure itself, making the checkpoint
-// mappable (MappedSnapshot) and the restart replay-free.
+// in checkpoint format v2. It reads one published snapshot, so structure,
+// batches, root, and freshness are mutually consistent; persisting the
+// commitment structure itself makes the checkpoint mappable
+// (MappedSnapshot) and the restart replay-free.
 func (r *Replica) PersistentStateV2() []byte {
 	snap := r.Snapshot()
 	return encodeStateV2(r.layoutKind, snap.view, snap.bounds, snap.root, snap.freshness, nil)
@@ -339,17 +324,11 @@ type MappedState struct {
 	leaves []byte // section 2: count × 32 B records
 	levels []byte // section 3: global hash array(s)
 
-	// Sorted layout: byte offset of each level inside levels.
-	levelOffs  []int
-	levelSizes []int
-
 	// Forest layout.
-	nb        int
-	dir       []byte // section 4
-	blob      []byte // section 5
-	spine     []byte // section 6
-	spineOffs []int
-	spineSize []int
+	nb    int
+	dir   []byte // section 4
+	blob  []byte // section 5
+	spine []byte // section 6
 
 	bounds []byte // section 7: nBatches × u64
 
@@ -361,6 +340,16 @@ type MappedState struct {
 
 // Layout returns the layout descriptor the checkpoint was built with.
 func (st *MappedState) Layout() LayoutKind { return st.layout }
+
+// checkLayout refuses a checkpoint persisted under another descriptor
+// than the configured one.
+func (st *MappedState) checkLayout(ca CAID, layout LayoutKind) error {
+	if st.layout != layout {
+		return fmt.Errorf("dictionary: %s persisted with layout %v, configured for %v (the layout — bucket capacity included — is part of the committed state; wipe the data dir to change it)",
+			ca, st.layout, layout)
+	}
+	return nil
+}
 
 // Count returns the number of revocations in the checkpoint.
 func (st *MappedState) Count() uint64 { return uint64(st.count) }
@@ -392,23 +381,6 @@ func (st *MappedState) Batches() []uint64 {
 	return out
 }
 
-// leafRaw returns the serial bytes and revocation number of sorted leaf i
-// without copying or validating; the serial aliases the mapped buffer.
-func (st *MappedState) leafRaw(i int) ([]byte, uint64) {
-	rec := st.leaves[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
-	return rec[12 : 12+rec[8]], binary.LittleEndian.Uint64(rec)
-}
-
-// leafAt materializes sorted leaf i as a Leaf (the serial is copied).
-func (st *MappedState) leafAt(i int) (Leaf, error) {
-	raw, num := st.leafRaw(i)
-	s, err := serial.New(raw)
-	if err != nil {
-		return Leaf{}, fmt.Errorf("%w: leaf %d: %v", ErrBadCheckpoint, i, err)
-	}
-	return Leaf{Serial: s, Num: num}, nil
-}
-
 // hashAt reads the 20-byte hash at index idx of a hash region.
 func hashAt(region []byte, base, idx int) cryptoutil.Hash {
 	var h cryptoutil.Hash
@@ -429,132 +401,17 @@ func compareRaw(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// searchLeaf returns the index of the first leaf with serial ≥ s over the
-// global sorted leaf array — binary search, two loads per probe.
-func (st *MappedState) searchLeaf(s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, st.count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		leaf, _ := st.leafRaw(mid)
-		if compareRaw(leaf, raw) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// sortedTree returns the sorted layout's mapped tree: every level sits in
+// the levels section, level 0 first.
+func (st *MappedState) sortedTree() miniTree {
+	n := st.count * cryptoutil.HashSize
+	return miniTree{recs: st.leaves, hashes: st.levels[:n], upper: st.levels[n:]}
 }
 
-// mlev is one hash level of a mapped structure: a region, a base offset,
-// and a node count. appendMappedPath walks a []mlev the way pathAt walks
-// heap levels, so mapped and heap proofs are byte-identical.
-type mlev struct {
-	region []byte
-	base   int
-	size   int
-}
-
-// appendMappedPath is appendHeapPath over a mapped level structure: the
-// pathOver walk writing into the arena's shared path array.
-func (a *proofArena) appendMappedPath(levels []mlev, idx int) []cryptoutil.Hash {
-	if len(levels) == 0 || idx < 0 || idx >= levels[0].size {
-		return nil
-	}
-	start := len(a.paths)
-	for lvl := 0; lvl < len(levels)-1; lvl++ {
-		sib := idx ^ 1
-		if sib < levels[lvl].size {
-			a.paths = append(a.paths, hashAt(levels[lvl].region, levels[lvl].base, sib))
-		}
-		idx /= 2
-	}
-	return a.paths[start:len(a.paths):len(a.paths)]
-}
-
-// fillMappedLeaf populates the arena's next inline ProofLeaf from mapped
-// leaf leafStart+idx. The serial is copied off the map (leafAt) — the
-// checkpoint may be unmapped while a cached Status still holds the proof.
-func (a *proofArena) fillMappedLeaf(st *MappedState, leafStart, idx int, levels []mlev) *ProofLeaf {
-	lf, err := st.leafAt(leafStart + idx)
-	if err != nil {
-		// OpenMappedState validated every leaf record; see mustLeaf.
-		panic(err)
-	}
-	pl := &a.leaves[a.nleaf]
-	a.nleaf++
-	pl.Serial = lf.Serial
-	pl.Num = lf.Num
-	pl.Index = uint64(idx)
-	pl.Path = a.appendMappedPath(levels, idx)
-	return pl
-}
-
-// proveRun is proveLocal over a mapped leaf run: the sorted layout's whole
-// leaf array (leafStart 0) or one forest bucket. lo is the caller's search
-// result (first index in the run with serial ≥ s). The spine path, when sp
-// is non-nil, comes from heapSpine (overlay-rebuilt) or mappedSpine
-// (pure-mapped), whichever is non-nil. levels is hoisted here so the
-// []mlev structure is built once per proof rather than once per leaf.
-func (st *MappedState) proveRun(s serial.Number, leafStart, count, lo int, levels []mlev, sp *SpineSegment, heapSpine [][]cryptoutil.Hash, mappedSpine []mlev, spineIdx int) *Proof {
-	kind := ProofAbsence
-	li, ri := -1, -1
-	equal := false
-	if lo < count {
-		raw, _ := st.leafRaw(leafStart + lo)
-		equal = compareRaw(raw, s.Raw()) == 0
-	}
-	switch {
-	case equal:
-		kind, li = ProofPresence, lo
-	case lo == 0:
-		ri = 0
-	case lo == count:
-		li = count - 1
-	default:
-		li, ri = lo-1, lo
-	}
-	perLeaf := len(levels) - 1
-	pathCap := 0
-	if li >= 0 {
-		pathCap += perLeaf
-	}
-	if ri >= 0 {
-		pathCap += perLeaf
-	}
-	if sp != nil {
-		if heapSpine != nil {
-			pathCap += len(heapSpine) - 1
-		} else if len(mappedSpine) > 0 {
-			pathCap += len(mappedSpine) - 1
-		}
-	}
-	a := newProofArena(kind, pathCap)
-	if li >= 0 {
-		a.proof.Left = a.fillMappedLeaf(st, leafStart, li, levels)
-	}
-	if ri >= 0 {
-		a.proof.Right = a.fillMappedLeaf(st, leafStart, ri, levels)
-	}
-	if sp != nil {
-		a.spine = *sp
-		if heapSpine != nil {
-			a.spine.Path = a.appendHeapPath(heapSpine, spineIdx)
-		} else {
-			a.spine.Path = a.appendMappedPath(mappedSpine, spineIdx)
-		}
-		a.proof.Spine = &a.spine
-	}
-	return &a.proof
-}
-
-// sortedLevels returns the mapped level structure of the sorted layout.
-func (st *MappedState) sortedLevels() []mlev {
-	out := make([]mlev, len(st.levelSizes))
-	for i := range out {
-		out[i] = mlev{region: st.levels, base: st.levelOffs[i], size: st.levelSizes[i]}
-	}
-	return out
+// spineTree returns the forest's mapped spine (levels only).
+func (st *MappedState) spineTree() miniTree {
+	n := st.nb * cryptoutil.HashSize
+	return miniTree{hashes: st.spine[:n], upper: st.spine[n:]}
 }
 
 // bucketRec returns the raw 96-byte directory record of bucket bi.
@@ -562,96 +419,37 @@ func (st *MappedState) bucketRec(bi int) []byte {
 	return st.dir[bi*v2BucketRecSize : (bi+1)*v2BucketRecSize]
 }
 
-// bucketMeta decodes the directory entry of bucket bi.
-type bucketMeta struct {
-	leafStart, leafCount int
-	levelsOff            int
-	lo, hi               []byte // canonical serial bytes; empty = unbounded
-	node                 cryptoutil.Hash
-}
-
-func (st *MappedState) bucketMeta(bi int) bucketMeta {
+// bucketTree returns bucket bi's mapped tree: its leaf records and level 0
+// are slices of the global arrays (buckets tile the sorted leaf order),
+// its interior levels live in the blob at levelsOff.
+func (st *MappedState) bucketTree(bi int) miniTree {
 	rec := st.bucketRec(bi)
 	le := binary.LittleEndian
-	var m bucketMeta
-	m.leafStart = int(le.Uint64(rec))
-	m.leafCount = int(le.Uint64(rec[8:]))
-	m.levelsOff = int(le.Uint64(rec[16:]))
-	m.lo = rec[32 : 32+rec[24]]
-	m.hi = rec[52 : 52+rec[25]]
-	copy(m.node[:], rec[72:])
-	return m
-}
-
-// bucketFor returns the bucket whose committed range contains s — the
-// mapped analog of forestView.bucketFor, a binary search over the
-// directory's lo bounds.
-func (st *MappedState) bucketFor(s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, st.nb
-	for lo < hi {
-		mid := (lo + hi) / 2
-		rec := st.bucketRec(mid)
-		bLo := rec[32 : 32+rec[24]]
-		// First bucket with a bounded lo strictly above s.
-		if len(bLo) != 0 && compareRaw(bLo, raw) > 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	start, n, off := int(le.Uint64(rec)), int(le.Uint64(rec[8:])), int(le.Uint64(rec[16:]))
+	return miniTree{
+		recs:   st.leaves[start*v2LeafRecSize : (start+n)*v2LeafRecSize],
+		hashes: st.levels[start*cryptoutil.HashSize : (start+n)*cryptoutil.HashSize],
+		upper:  st.blob[off : off+interiorLevelBytes(n)],
 	}
-	return lo - 1
 }
 
-// bucketLevels returns the mapped level structure of bucket bi: level 0 is
-// its slice of the global leaf-hash array, the rest live in the blob.
-func (st *MappedState) bucketLevels(m bucketMeta) []mlev {
-	sizes := levelSizesFor(m.leafCount)
-	out := make([]mlev, len(sizes))
-	out[0] = mlev{region: st.levels, base: m.leafStart * cryptoutil.HashSize, size: sizes[0]}
-	off := m.levelsOff
-	for i := 1; i < len(sizes); i++ {
-		out[i] = mlev{region: st.blob, base: off, size: sizes[i]}
-		off += sizes[i] * cryptoutil.HashSize
-	}
-	return out
+// bucketBounds returns bucket bi's canonical range bounds, aliasing the
+// map; empty = unbounded.
+func (st *MappedState) bucketBounds(bi int) (lo, hi []byte) {
+	rec := st.bucketRec(bi)
+	return rec[32 : 32+rec[24]], rec[52 : 52+rec[25]]
 }
 
-// bucketSearch returns the first bucket-local leaf index with serial ≥ s.
-func (st *MappedState) bucketSearch(m bucketMeta, s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, m.leafCount
-	for lo < hi {
-		mid := (lo + hi) / 2
-		leaf, _ := st.leafRaw(m.leafStart + mid)
-		if compareRaw(leaf, raw) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// spineLevels returns the mapped spine structure.
-func (st *MappedState) spineLevels() []mlev {
-	out := make([]mlev, len(st.spineSize))
-	for i := range out {
-		out[i] = mlev{region: st.spine, base: st.spineOffs[i], size: st.spineSize[i]}
-	}
-	return out
-}
-
-// spineNode returns spine level-0 node bi (== bucket bi's commitment).
-func (st *MappedState) spineNode(bi int) cryptoutil.Hash {
-	return hashAt(st.spine, 0, bi)
+// bucketNode returns bucket bi's recorded commitment.
+func (st *MappedState) bucketNode(bi int) cryptoutil.Hash {
+	return hashAt(st.bucketRec(bi), 72, 0)
 }
 
 // sectionTable maps section ids to payload slices after bounds and CRC
 // validation.
 func sectionTable(buf []byte) (map[uint32][]byte, error) {
 	if !IsStateV2(buf) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+		return nil, fmt.Errorf("%w: unsupported checkpoint format (no v2 magic; v2 is the only format read — wipe the data dir and resync)", ErrBadCheckpoint)
 	}
 	le := binary.LittleEndian
 	if len(buf) < v2HeaderLen {
@@ -747,17 +545,8 @@ func OpenMappedState(buf []byte) (*MappedState, error) {
 		if err := st.openForest(secs); err != nil {
 			return nil, err
 		}
-	} else {
-		st.levelSizes = levelSizesFor(st.count)
-		if len(st.levels) != totalLevelNodes(st.count)*cryptoutil.HashSize {
-			return nil, fmt.Errorf("%w: levels section holds %d bytes, want %d", ErrBadCheckpoint, len(st.levels), totalLevelNodes(st.count)*cryptoutil.HashSize)
-		}
-		st.levelOffs = make([]int, len(st.levelSizes))
-		off := 0
-		for i, s := range st.levelSizes {
-			st.levelOffs[i] = off
-			off += s * cryptoutil.HashSize
-		}
+	} else if want := totalLevelNodes(st.count) * cryptoutil.HashSize; len(st.levels) != want {
+		return nil, fmt.Errorf("%w: levels section holds %d bytes, want %d", ErrBadCheckpoint, len(st.levels), want)
 	}
 
 	st.bounds, ok = secs[v2SecBatches]
@@ -817,6 +606,7 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 		return fmt.Errorf("%w: %d leaves but no buckets", ErrBadCheckpoint, st.count)
 	}
 	cap := st.layout.ForestCap()
+	leaves := miniTree{recs: st.leaves}
 	leafStart, levelsOff := 0, 0
 	var prevHi []byte
 	for bi := 0; bi < st.nb; bi++ {
@@ -850,8 +640,8 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 		// Boundary containment: the bucket's first and last leaves must fall
 		// in [lo, hi). Interior leaves are sorted (validated globally), so
 		// the two checks cover the bucket.
-		first, _ := st.leafRaw(leafStart)
-		last, _ := st.leafRaw(leafStart + n - 1)
+		first, _ := leaves.raw(leafStart)
+		last, _ := leaves.raw(leafStart + n - 1)
 		if loLen != 0 && compareRaw(lo, first) > 0 {
 			return fmt.Errorf("%w: bucket %d leaf below range", ErrBadCheckpoint, bi)
 		}
@@ -864,19 +654,12 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 	if leafStart != st.count || levelsOff != len(st.blob) {
 		return fmt.Errorf("%w: buckets cover %d leaves / %d level bytes, want %d / %d", ErrBadCheckpoint, leafStart, levelsOff, st.count, len(st.blob))
 	}
-	st.spineSize = levelSizesFor(st.nb)
-	if len(st.spine) != totalLevelNodes(st.nb)*cryptoutil.HashSize {
-		return fmt.Errorf("%w: spine section holds %d bytes, want %d", ErrBadCheckpoint, len(st.spine), totalLevelNodes(st.nb)*cryptoutil.HashSize)
-	}
-	st.spineOffs = make([]int, len(st.spineSize))
-	off := 0
-	for i, s := range st.spineSize {
-		st.spineOffs[i] = off
-		off += s * cryptoutil.HashSize
+	if want := totalLevelNodes(st.nb) * cryptoutil.HashSize; len(st.spine) != want {
+		return fmt.Errorf("%w: spine section holds %d bytes, want %d", ErrBadCheckpoint, len(st.spine), want)
 	}
 	// The spine's level 0 must be the bucket commitments.
 	for bi := 0; bi < st.nb; bi++ {
-		if !st.spineNode(bi).Equal(st.bucketMeta(bi).node) {
+		if !hashAt(st.spine, 0, bi).Equal(st.bucketNode(bi)) {
 			return fmt.Errorf("%w: spine[0][%d] does not match bucket node", ErrBadCheckpoint, bi)
 		}
 	}
@@ -925,10 +708,11 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 	case st.count == 0:
 		computed = EmptyRoot
 	case st.layout.base() == LayoutForest:
-		top := hashAt(st.spine, st.spineOffs[len(st.spineOffs)-1], 0)
-		computed = cryptoutil.HashForestRoot(uint64(st.nb), top)
+		spine := st.spineTree()
+		computed = cryptoutil.HashForestRoot(uint64(st.nb), spine.root())
 	default:
-		computed = hashAt(st.levels, st.levelOffs[len(st.levelOffs)-1], 0)
+		tree := st.sortedTree()
+		computed = tree.root()
 	}
 	if !computed.Equal(st.treeRoot) {
 		return fmt.Errorf("%w: recorded root does not match stored structure", ErrBadCheckpoint)
@@ -950,11 +734,9 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 // the permutation check deferred by OpenMappedState.
 func (st *MappedState) materializeLog() ([]serial.Number, error) {
 	log := make([]serial.Number, st.count)
+	leaves := miniTree{recs: st.leaves}
 	for i := 0; i < st.count; i++ {
-		lf, err := st.leafAt(i)
-		if err != nil {
-			return nil, err
-		}
+		lf := leaves.leaf(i)
 		slot := lf.Num - 1
 		if !log[slot].IsZero() {
 			return nil, fmt.Errorf("%w: duplicate revocation number %d", ErrBadCheckpoint, lf.Num)
@@ -964,10 +746,10 @@ func (st *MappedState) materializeLog() ([]serial.Number, error) {
 	return log, nil
 }
 
-// toPersistent materializes the v2 checkpoint into the v1 in-memory
+// toPersistent materializes the v2 checkpoint into the in-memory
 // PersistentState (log + batches + root), the form full-replay restores
-// consume. The CA-side recovery path uses it so its replay verification
-// is unchanged by the format bump.
+// consume: the CA's recovery and a replication follower's adoption keep
+// verifying by replay, not by trusting the stored structure.
 func (st *MappedState) toPersistent() (*PersistentState, error) {
 	log, err := st.materializeLog()
 	if err != nil {

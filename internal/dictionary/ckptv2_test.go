@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"ritm/internal/cryptoutil"
@@ -247,6 +249,30 @@ func TestMappedSnapshotOverlayRejectsForgedRecord(t *testing.T) {
 	}
 }
 
+// requireStateMatches asserts that a decoded checkpoint carries exactly
+// the heap tree's committed state.
+func requireStateMatches(t *testing.T, st *PersistentState, kind LayoutKind, tree *Tree, root *SignedRoot) {
+	t.Helper()
+	if st.Layout != kind {
+		t.Fatalf("decoded layout %v, want %v", st.Layout, kind)
+	}
+	log := tree.Log()
+	if len(st.Log) != len(log) {
+		t.Fatalf("decoded log holds %d serials, want %d", len(st.Log), len(log))
+	}
+	for i := range log {
+		if !st.Log[i].Equal(log[i]) {
+			t.Fatalf("decoded log differs at %d", i)
+		}
+	}
+	if !slices.Equal(st.Batches, tree.BatchBounds()) {
+		t.Fatalf("decoded batches %v, want %v", st.Batches, tree.BatchBounds())
+	}
+	if (st.Root == nil) != (root == nil) || (root != nil && !st.Root.Equal(root)) {
+		t.Fatal("decoded signed root differs")
+	}
+}
+
 func TestPersistentStateV2RoundTrip(t *testing.T) {
 	now := int64(1_700_000_000)
 	for _, kind := range layoutKinds() {
@@ -254,26 +280,25 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 			batches := fixtureBatches(0x5EED, []int{90, 210, 40})
 			a, r, _ := mappedFixture(t, kind, batches, now)
 
-			// Replica state: decoding the v2 payload must reproduce the v1
-			// PersistentState byte for byte.
+			// Replica state: the decoded log, batches, root, and freshness
+			// are the heap replica's.
 			st, err := DecodePersistentState(r.PersistentStateV2())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(st.Encode(), r.PersistentState().Encode()) {
-				t.Fatal("v2 round trip differs from PersistentState for replica")
+			requireStateMatches(t, st, kind, r.tree, r.Root())
+			if !st.Freshness.Equal(r.Snapshot().Freshness()) || st.ChainSeed != nil {
+				t.Fatal("replica v2 state: freshness differs or a chain seed appeared")
 			}
 
-			// Authority state: same, including the chain seed.
+			// Authority state: same, plus the chain seed.
 			ast, err := DecodePersistentState(a.PersistentStateV2())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(ast.Encode(), a.PersistentState().Encode()) {
-				t.Fatal("v2 round trip differs from PersistentState for authority")
-			}
-			if ast.ChainSeed == nil {
-				t.Fatal("authority v2 state dropped the chain seed")
+			requireStateMatches(t, ast, kind, a.tree, a.SignedRoot())
+			if ast.ChainSeed == nil || !ast.ChainSeed.Equal(a.ChainSeed()) {
+				t.Fatal("authority v2 state dropped or changed the chain seed")
 			}
 
 			// Empty state round-trips too.
@@ -282,93 +307,53 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(est.Encode(), empty.PersistentState().Encode()) {
-				t.Fatal("v2 round trip differs for empty replica")
-			}
+			requireStateMatches(t, est, kind, empty.tree, nil)
 		})
 	}
 }
 
-func TestRecoverReplicaLogMigratesV1(t *testing.T) {
+// v1Checkpoint is a literal checkpoint in the retired v1 encoding (the
+// encoder is gone): version byte 0x01, layout, an empty log, no batches,
+// no root, zero freshness, no chain seed — an empty dictionary.
+func v1Checkpoint() []byte {
+	return append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}, append(make([]byte, cryptoutil.HashSize), 0)...)
+}
+
+// TestRecoverReplicaLogRefusesV1Checkpoint pins that a v1 checkpoint is
+// refused loudly, naming the format, instead of being migrated — or
+// served as the empty dictionary it happens to decode to — and that the
+// refusal leaves the store untouched.
+func TestRecoverReplicaLogRefusesV1Checkpoint(t *testing.T) {
 	now := int64(1_700_000_000)
 	for _, kind := range layoutKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0x91, []int{100, 260, 55, 140})
-			a, full, msgs := mappedFixture(t, kind, batches, now)
-			heap := full.Snapshot()
-
-			part := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-			for _, msg := range msgs[:2] {
-				if err := part.Update(msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			backend := storage.NewMemory()
-			lg, err := backend.Open("d")
+			a, _, msgs := mappedFixture(t, kind, fixtureBatches(0x91, []int{100, 260}), now)
+			lg, err := storage.NewMemory().Open("d")
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Seed the log the way a pre-v2 store would have: a v1
-			// checkpoint plus WAL records for the remaining updates and an
-			// adopted freshness statement.
-			if err := lg.Checkpoint(part.PersistentState().Encode()); err != nil {
+			if err := lg.Checkpoint(v1Checkpoint()); err != nil {
 				t.Fatal(err)
 			}
-			for _, msg := range msgs[2:] {
-				if err := lg.Append((&UpdateRecord{Msg: msg}).Encode()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			later := now + int64(testDelta.Seconds())
-			stmt, err := a.Statement(later)
-			if err != nil {
+			if err := lg.Append((&UpdateRecord{Msg: msgs[1]}).Encode()); err != nil {
 				t.Fatal(err)
 			}
-			if err := lg.Append((&FreshnessRecord{Value: stmt.Value}).Encode()); err != nil {
-				t.Fatal(err)
+			r, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, now)
+			if err == nil {
+				t.Fatalf("v1 checkpoint recovered into a replica of %d revocations", r.Count())
 			}
-
-			r, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later)
-			if err != nil {
-				t.Fatal(err)
+			if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "unsupported checkpoint format") {
+				t.Fatalf("v1 checkpoint: err = %v, want an unsupported-format ErrBadCheckpoint", err)
 			}
-			snap := r.Snapshot()
-			if snap.Count() != heap.Count() || !snap.RootHash().Equal(heap.RootHash()) {
-				t.Fatal("recovered replica differs from heap reference")
+			if _, err := DecodePersistentState(v1Checkpoint()); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("DecodePersistentState(v1) = %v, want ErrBadCheckpoint", err)
 			}
-			if !snap.Freshness().Equal(stmt.Value) {
-				t.Fatal("recovered replica dropped the WAL freshness record")
-			}
-
-			// The recovery must have rewritten the v1 checkpoint as v2 and
-			// truncated the WAL it covers.
 			ckpt, wal, err := lg.Load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !IsStateV2(ckpt) {
-				t.Fatal("v1 checkpoint was not rewritten as v2")
-			}
-			if len(wal) != 0 {
-				t.Fatalf("%d WAL records survived the migration checkpoint", len(wal))
-			}
-
-			// A second recovery takes the v2 fast path and lands on the
-			// same state; the checkpoint is not rewritten again.
-			r2, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r2.Snapshot().RootHash().Equal(heap.RootHash()) {
-				t.Fatal("v2 recovery differs from heap reference")
-			}
-			ckpt2, _, err := lg.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ckpt, ckpt2) {
-				t.Fatal("v2 fast-path recovery rewrote the checkpoint")
+			if !bytes.Equal(ckpt, v1Checkpoint()) || len(wal) != 1 {
+				t.Fatal("refused recovery rewrote the store")
 			}
 		})
 	}
@@ -418,8 +403,7 @@ func TestOpenMappedStateRejectsCorruption(t *testing.T) {
 				}
 			}
 
-			// Magic corruption must fail the cheap IsStateV2 probe, so the
-			// v1 decoder never sees the payload.
+			// Magic corruption must fail the cheap IsStateV2 probe.
 			mut := append([]byte(nil), state...)
 			mut[0] ^= 0xFF
 			if IsStateV2(mut) {

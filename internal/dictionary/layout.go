@@ -1,6 +1,7 @@
 package dictionary
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -184,6 +185,12 @@ type Layout interface {
 	checkpoint() layoutState
 	// restore rewinds the layout to a state captured by checkpoint.
 	restore(layoutState)
+	// revoked reports whether s is a leaf WITHOUT exposing the arrays (the
+	// WAL overlay checks duplicates between inserts of one private window).
+	revoked(s serial.Number) bool
+	// clone returns a layout with the same content whose inserts write to
+	// no array the receiver or any view it handed out can reach.
+	clone() Layout
 }
 
 // LayoutView is one immutable version of a layout's proving state. All
@@ -211,26 +218,107 @@ func newLayout(kind LayoutKind) Layout {
 	}
 }
 
-// miniTree is the shared (sorted leaves, interior levels) proving core used
-// by the sorted layout for the whole dictionary and by the forest layout per
-// bucket. levels[0] is the leaf-hash array; levels[len-1][0] is the root.
-// A miniTree is immutable once built.
+// miniTree is the one proving core: a sorted leaf run with its hash
+// levels, level 0 (leaf hashes) first, up to the root. It serves the
+// sorted layout's whole dictionary, each forest bucket, and (levels only)
+// the forest spine, and its backing is either heap slices or a v2
+// checkpoint's little-endian bytes (typically an mmap'd file):
+//
+//   - heap: leaves and levels, as built by insert;
+//   - mapped: recs holds the leaf records, hashes level 0, and upper the
+//     levels ≥ 1 concatenated. Level sizes follow by halving from the
+//     width, the shape contract shared with buildLevels.
+//
+// Every accessor takes a plain branch on the backing, so heap, mapped and
+// overlay serving run the same search, presence/absence switch, audit-path
+// walk and leaf fill, and produce byte-identical proofs. A miniTree is
+// immutable once built.
 type miniTree struct {
 	leaves []Leaf
 	levels [][]cryptoutil.Hash
+	recs   []byte // mapped leaf records, v2LeafRecSize each
+	hashes []byte // mapped level 0
+	upper  []byte // mapped levels ≥ 1
 }
 
-// root returns the tree root; callers guarantee at least one leaf.
-func (m miniTree) root() cryptoutil.Hash {
-	return m.levels[len(m.levels)-1][0]
+// size returns the number of leaves.
+func (t *miniTree) size() int {
+	if t.recs != nil {
+		return len(t.recs) / v2LeafRecSize
+	}
+	return len(t.leaves)
 }
 
-// searchLeaf returns the index of the first leaf with Serial >= s.
-func (m miniTree) searchLeaf(s serial.Number) int {
-	lo, hi := 0, len(m.leaves)
+// width returns the node count of level 0: the leaf count, or the bucket
+// count of a spine.
+func (t *miniTree) width() int {
+	if t.hashes != nil {
+		return len(t.hashes) / cryptoutil.HashSize
+	}
+	if len(t.levels) == 0 {
+		return 0
+	}
+	return len(t.levels[0])
+}
+
+// node returns node i of level lvl; off is the level's byte offset within
+// upper (mapped levels ≥ 1 only).
+func (t *miniTree) node(lvl, off, i int) cryptoutil.Hash {
+	switch {
+	case t.hashes == nil:
+		return t.levels[lvl][i]
+	case lvl == 0:
+		return hashAt(t.hashes, 0, i)
+	default:
+		return hashAt(t.upper, off, i)
+	}
+}
+
+// root returns the tree root; callers guarantee a non-empty tree. The
+// mapped root is the last node of upper (or the only node of level 0).
+func (t *miniTree) root() cryptoutil.Hash {
+	switch {
+	case t.hashes == nil:
+		return t.levels[len(t.levels)-1][0]
+	case len(t.upper) == 0:
+		return hashAt(t.hashes, 0, 0)
+	default:
+		return hashAt(t.upper, len(t.upper)-cryptoutil.HashSize, 0)
+	}
+}
+
+// raw returns leaf i's serial bytes and revocation number; a mapped serial
+// aliases the checkpoint.
+func (t *miniTree) raw(i int) ([]byte, uint64) {
+	if t.recs == nil {
+		return t.leaves[i].Serial.Raw(), t.leaves[i].Num
+	}
+	rec := t.recs[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
+	return rec[12 : 12+rec[8]], binary.LittleEndian.Uint64(rec)
+}
+
+// leaf returns leaf i. A mapped serial is copied: the checkpoint may be
+// unmapped while a cached Status still holds a proof built from it.
+func (t *miniTree) leaf(i int) Leaf {
+	if t.recs == nil {
+		return t.leaves[i]
+	}
+	return t.copyLeaf(i)
+}
+
+// copyLeaf is leaf's mapped case, kept out of line so leaf inlines.
+func (t *miniTree) copyLeaf(i int) Leaf {
+	raw, num := t.raw(i)
+	return Leaf{Serial: mustNumber(raw), Num: num}
+}
+
+// search returns the index of the first leaf with serial ≥ s.
+func (t *miniTree) search(s serial.Number) int {
+	raw := s.Raw()
+	lo, hi := 0, t.size()
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.leaves[mid].Serial.Compare(s) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if leaf, _ := t.raw(mid); compareRaw(leaf, raw) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -239,47 +327,46 @@ func (m miniTree) searchLeaf(s serial.Number) int {
 	return lo
 }
 
-// revoked reports whether s is a leaf, by binary search.
-func (m miniTree) revoked(s serial.Number) (uint64, bool) {
-	lo := m.searchLeaf(s)
-	if lo < len(m.leaves) && m.leaves[lo].Serial.Equal(s) {
-		return m.leaves[lo].Num, true
+// revoked reports whether s is a leaf, and its revocation number.
+func (t *miniTree) revoked(s serial.Number) (uint64, bool) {
+	if i := t.search(s); i < t.size() {
+		if raw, num := t.raw(i); compareRaw(raw, s.Raw()) == 0 {
+			return num, true
+		}
 	}
 	return 0, false
 }
 
-// path returns the audit path for the leaf at index idx.
-func (m miniTree) path(idx int) []cryptoutil.Hash {
-	return pathAt(m.levels, idx)
-}
-
-// proofLeaf builds the ProofLeaf for index idx.
-func (m miniTree) proofLeaf(idx int) *ProofLeaf {
-	return &ProofLeaf{
-		Serial: m.leaves[idx].Serial,
-		Num:    m.leaves[idx].Num,
-		Index:  uint64(idx),
-		Path:   m.path(idx),
+// materialize returns a heap copy of a mapped tree (a heap tree as is):
+// the writer-side insert, the WAL overlay and the map-don't-replay restore
+// all build on heap arrays.
+func (t *miniTree) materialize() miniTree {
+	w := t.width()
+	if t.hashes == nil || w == 0 {
+		return miniTree{leaves: t.leaves, levels: t.levels}
 	}
-}
-
-// pathAt returns the audit path for position idx of a level structure (the
-// same walk for dictionary leaves and for spine positions over buckets).
-func pathAt(levels [][]cryptoutil.Hash, idx int) []cryptoutil.Hash {
-	if len(levels) == 0 || idx < 0 || idx >= len(levels[0]) {
-		return nil
-	}
-	path := make([]cryptoutil.Hash, 0, len(levels))
-	for lvl := 0; lvl < len(levels)-1; lvl++ {
-		nodes := levels[lvl]
-		sib := idx ^ 1
-		if sib < len(nodes) {
-			path = append(path, nodes[sib])
+	var out miniTree
+	if n := t.size(); n > 0 {
+		out.leaves = make([]Leaf, n)
+		for i := range out.leaves {
+			out.leaves[i] = t.leaf(i)
 		}
-		// Odd rightmost node has no sibling: promoted, no path element.
-		idx /= 2
 	}
-	return path
+	out.levels = make([][]cryptoutil.Hash, 0, 1+bitsLen(w))
+	for lvl, off := 0, 0; ; lvl++ {
+		level := make([]cryptoutil.Hash, w)
+		for i := range level {
+			level[i] = t.node(lvl, off, i)
+		}
+		out.levels = append(out.levels, level)
+		if w == 1 {
+			return out
+		}
+		if lvl > 0 {
+			off += w * cryptoutil.HashSize
+		}
+		w = (w + 1) / 2
+	}
 }
 
 // proofArena bundles a Proof with its leaf structs, spine segment, and a
@@ -305,48 +392,56 @@ func newProofArena(kind ProofKind, pathCap int) *proofArena {
 	return a
 }
 
-// appendHeapPath appends the audit path for position idx of a heap level
-// structure (the pathAt walk) to the shared array and returns the capped
-// segment holding it.
-func (a *proofArena) appendHeapPath(levels [][]cryptoutil.Hash, idx int) []cryptoutil.Hash {
-	if len(levels) == 0 || idx < 0 || idx >= len(levels[0]) {
+// appendPath appends the audit path for level-0 position idx of t to the
+// shared array and returns the capped segment holding it. An odd
+// rightmost node has no sibling: it is promoted, with no path element.
+func (a *proofArena) appendPath(t *miniTree, idx int) []cryptoutil.Hash {
+	w := t.width()
+	if idx < 0 || idx >= w {
 		return nil
 	}
 	start := len(a.paths)
-	for lvl := 0; lvl < len(levels)-1; lvl++ {
-		nodes := levels[lvl]
-		sib := idx ^ 1
-		if sib < len(nodes) {
-			a.paths = append(a.paths, nodes[sib])
+	for lvl, off := 0, 0; w > 1; lvl++ {
+		if sib := idx ^ 1; sib < w {
+			a.paths = append(a.paths, t.node(lvl, off, sib))
+		}
+		if lvl > 0 {
+			off += w * cryptoutil.HashSize
 		}
 		idx /= 2
+		w = (w + 1) / 2
 	}
 	return a.paths[start:len(a.paths):len(a.paths)]
 }
 
-// fillLeaf populates the arena's next inline ProofLeaf from tree index idx.
-func (a *proofArena) fillLeaf(m miniTree, idx int) *ProofLeaf {
+// fillLeaf populates the arena's next inline ProofLeaf from leaf idx of t.
+func (a *proofArena) fillLeaf(t *miniTree, idx int) *ProofLeaf {
 	pl := &a.leaves[a.nleaf]
 	a.nleaf++
-	pl.Serial = m.leaves[idx].Serial
-	pl.Num = m.leaves[idx].Num
+	lf := t.leaf(idx)
+	pl.Serial = lf.Serial
+	pl.Num = lf.Num
 	pl.Index = uint64(idx)
-	pl.Path = a.appendHeapPath(m.levels, idx)
+	pl.Path = a.appendPath(t, idx)
 	return pl
 }
 
-// proveLocal runs the shared presence/absence switch over the tree's
-// leaves — the same boundary cases as the pre-arena Prove implementations
-// — building the whole proof in one arena. sp, when non-nil, is the spine
-// segment metadata (Path unset); spineLevels/spineIdx locate the bucket's
-// audit path. Callers guarantee at least one leaf.
-func (m miniTree) proveLocal(s serial.Number, sp *SpineSegment, spineLevels [][]cryptoutil.Hash, spineIdx int) *Proof {
-	n := len(m.leaves)
-	lo := m.searchLeaf(s)
+// prove runs the presence/absence switch over the tree's leaves, building
+// the whole proof in one arena. sp, when non-nil, is the spine segment
+// metadata (Path unset); spine and spineIdx locate the bucket's audit
+// path. Callers guarantee at least one leaf.
+func (t *miniTree) prove(s serial.Number, sp *SpineSegment, spine *miniTree, spineIdx int) *Proof {
+	n := t.size()
+	lo := t.search(s)
 	kind := ProofAbsence
 	li, ri := -1, -1
+	equal := false
+	if lo < n {
+		raw, _ := t.raw(lo)
+		equal = compareRaw(raw, s.Raw()) == 0
+	}
 	switch {
-	case lo < n && m.leaves[lo].Serial.Equal(s):
+	case equal:
 		kind, li = ProofPresence, lo
 	case lo == 0:
 		// s precedes every leaf: the first leaf bounds it from above.
@@ -358,7 +453,7 @@ func (m miniTree) proveLocal(s serial.Number, sp *SpineSegment, spineLevels [][]
 		// s falls strictly between two adjacent leaves.
 		li, ri = lo-1, lo
 	}
-	perLeaf := len(m.levels) - 1
+	perLeaf := bitsLen(n)
 	pathCap := 0
 	if li >= 0 {
 		pathCap += perLeaf
@@ -366,19 +461,19 @@ func (m miniTree) proveLocal(s serial.Number, sp *SpineSegment, spineLevels [][]
 	if ri >= 0 {
 		pathCap += perLeaf
 	}
-	if sp != nil && len(spineLevels) > 0 {
-		pathCap += len(spineLevels) - 1
+	if sp != nil {
+		pathCap += bitsLen(spine.width())
 	}
 	a := newProofArena(kind, pathCap)
 	if li >= 0 {
-		a.proof.Left = a.fillLeaf(m, li)
+		a.proof.Left = a.fillLeaf(t, li)
 	}
 	if ri >= 0 {
-		a.proof.Right = a.fillLeaf(m, ri)
+		a.proof.Right = a.fillLeaf(t, ri)
 	}
 	if sp != nil {
 		a.spine = *sp
-		a.spine.Path = a.appendHeapPath(spineLevels, spineIdx)
+		a.spine.Path = a.appendPath(spine, spineIdx)
 		a.proof.Spine = &a.spine
 	}
 	return &a.proof

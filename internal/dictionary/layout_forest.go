@@ -1,8 +1,6 @@
 package dictionary
 
 import (
-	"sort"
-
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
 )
@@ -27,8 +25,8 @@ import (
 // proofs local to a single bucket. Buckets are immutable once built: inserts
 // replace the bucket, never mutate it.
 type forestBucket struct {
-	lo, hi serial.Number // [lo, hi); zero = unbounded
-	tree   miniTree
+	lo, hi serial.Number   // [lo, hi); zero = unbounded
+	tree   miniTree        // heap; a WAL overlay's untouched buckets stay mapped
 	node   cryptoutil.Hash // HashBucket(lo, hi, count, tree root)
 	// private marks the bucket as scratch: built since the last
 	// view/checkpoint with backing arrays shared by no other bucket, so a
@@ -132,13 +130,16 @@ func (f *forestLayout) insert(batch []Leaf) {
 				next = append(next, b)
 				continue
 			}
-			merged, mergedHashes, firstChanged, leafOps := mergeLeaves(b.tree.leaves, b.leafHashes(), sub)
+			// A bucket still on the map (WAL overlay) is copied out first;
+			// either way, interior nodes left of firstChanged are reused.
+			old := b.tree.materialize()
+			merged, mergedHashes, firstChanged, leafOps := mergeLeaves(old.leaves, old.levels[0], sub)
 			f.hashed += leafOps
 			if len(merged) <= f.cap {
 				if structFrom < 0 {
 					dirty = append(dirty, len(next))
 				}
-				nb := f.buildBucket(b.lo, b.hi, merged, mergedHashes, b.tree.levels, firstChanged)
+				nb := f.buildBucket(b.lo, b.hi, merged, mergedHashes, old.levels, firstChanged)
 				nb.private = true
 				next = append(next, nb)
 			} else {
@@ -288,7 +289,7 @@ func rebuildSpineDirtyInPlace(spine [][]cryptoutil.Hash, dirty []int, hashed *ui
 
 func (f *forestLayout) view() LayoutView {
 	f.expose()
-	return forestView{buckets: f.buckets, spine: f.spine, root: f.root}
+	return &forestView{buckets: f.buckets, spine: miniTree{levels: f.spine}, root: f.root}
 }
 
 func (f *forestLayout) rootHash() cryptoutil.Hash {
@@ -347,33 +348,94 @@ func (f *forestLayout) restore(st layoutState) {
 	f.spineOwned = false
 }
 
-// forestView is one immutable version of the forest's proving state.
+func (f *forestLayout) revoked(s serial.Number) bool {
+	_, ok := (&forestView{buckets: f.buckets}).Revoked(s)
+	return ok
+}
+
+// clone copies the layout header. insert builds a fresh bucket list, and
+// the copy starts exposed (views already took every bucket and the
+// spine), so its inserts never write to what the receiver's views read.
+func (f *forestLayout) clone() Layout {
+	c := *f
+	c.spineOwned = false
+	return &c
+}
+
+// forestView is one immutable version of the forest's proving state: a
+// bucket list and a spine, each heap or mapped. The list is either heap
+// buckets — the writer's, or a WAL overlay's mix of heap and still-mapped
+// buckets — or, for pure-mapped serving, a v2 checkpoint's bucket
+// directory (dir), read in place with zero heap.
 type forestView struct {
 	buckets []*forestBucket
-	spine   [][]cryptoutil.Hash
+	dir     *MappedState
+	spine   miniTree
 	root    cryptoutil.Hash
 }
 
-func (v forestView) Root() cryptoutil.Hash {
-	if len(v.buckets) == 0 {
+func (v *forestView) numBuckets() int {
+	if v.dir != nil {
+		return v.dir.nb
+	}
+	return len(v.buckets)
+}
+
+// tree returns bucket bi's tree; a mapped directory's is assembled in buf.
+func (v *forestView) tree(bi int, buf *miniTree) *miniTree {
+	if v.dir != nil {
+		*buf = v.dir.bucketTree(bi)
+		return buf
+	}
+	return &v.buckets[bi].tree
+}
+
+// bounds returns bucket bi's range [lo, hi); mapped bounds are copied, so
+// a proof never aliases the checkpoint.
+func (v *forestView) bounds(bi int) (lo, hi serial.Number) {
+	if v.dir != nil {
+		rlo, rhi := v.dir.bucketBounds(bi)
+		return mustNumber(rlo), mustNumber(rhi)
+	}
+	return v.buckets[bi].lo, v.buckets[bi].hi
+}
+
+func (v *forestView) Root() cryptoutil.Hash {
+	if v.numBuckets() == 0 {
 		return EmptyRoot
 	}
 	return v.root
 }
 
-// bucketFor returns the index of the bucket whose range contains s; the
-// tiling invariant guarantees exactly one does.
-func (v forestView) bucketFor(s serial.Number) int {
-	return sort.Search(len(v.buckets), func(i int) bool {
-		return !v.buckets[i].lo.IsZero() && v.buckets[i].lo.Compare(s) > 0
-	}) - 1
+// bucketFor returns the index of the bucket whose range contains s — the
+// last bucket whose lo is unbounded or ≤ s; the tiling invariant
+// guarantees exactly one.
+func (v *forestView) bucketFor(s serial.Number) int {
+	raw := s.Raw()
+	lo, hi := 0, v.numBuckets()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		var bLo []byte
+		if v.dir != nil {
+			bLo, _ = v.dir.bucketBounds(mid)
+		} else {
+			bLo = v.buckets[mid].lo.Raw()
+		}
+		if len(bLo) != 0 && compareRaw(bLo, raw) > 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - 1
 }
 
-func (v forestView) Revoked(s serial.Number) (uint64, bool) {
-	if len(v.buckets) == 0 {
+func (v *forestView) Revoked(s serial.Number) (uint64, bool) {
+	if v.numBuckets() == 0 {
 		return 0, false
 	}
-	return v.buckets[v.bucketFor(s)].tree.revoked(s)
+	var buf miniTree
+	return v.tree(v.bucketFor(s), &buf).revoked(s)
 }
 
 // Prove produces a presence or absence proof local to the bucket whose
@@ -381,18 +443,20 @@ func (v forestView) Revoked(s serial.Number) (uint64, bool) {
 // Absence never crosses buckets: the committed range [lo, hi) proves that
 // no other bucket could hold s, so the in-bucket neighbors (or boundary
 // leaves) suffice.
-func (v forestView) Prove(s serial.Number) *Proof {
-	if len(v.buckets) == 0 {
+func (v *forestView) Prove(s serial.Number) *Proof {
+	if v.numBuckets() == 0 {
 		return &Proof{Kind: ProofAbsenceEmpty}
 	}
 	bi := v.bucketFor(s)
-	b := v.buckets[bi]
+	var buf miniTree
+	t := v.tree(bi, &buf)
+	lo, hi := v.bounds(bi)
 	sp := SpineSegment{
 		BucketIndex: uint64(bi),
-		NumBuckets:  uint64(len(v.buckets)),
-		LeafCount:   uint64(len(b.tree.leaves)),
-		Lo:          b.lo,
-		Hi:          b.hi,
+		NumBuckets:  uint64(v.numBuckets()),
+		LeafCount:   uint64(t.size()),
+		Lo:          lo,
+		Hi:          hi,
 	}
-	return b.tree.proveLocal(s, &sp, v.spine, bi)
+	return t.prove(s, &sp, &v.spine, bi)
 }

@@ -51,7 +51,7 @@ func (l *sortedLayout) insert(batch []Leaf) {
 
 func (l *sortedLayout) view() LayoutView {
 	l.owned = false
-	return sortedView{miniTree{leaves: l.leaves, levels: l.levels}}
+	return &sortedView{miniTree{leaves: l.leaves, levels: l.levels}}
 }
 
 func (l *sortedLayout) rootHash() cryptoutil.Hash {
@@ -101,27 +101,42 @@ func (l *sortedLayout) restore(st layoutState) {
 	l.owned = false
 }
 
-// sortedView is one immutable version of the sorted layout's proving state.
+func (l *sortedLayout) revoked(s serial.Number) bool {
+	_, ok := (&miniTree{leaves: l.leaves, levels: l.levels}).revoked(s)
+	return ok
+}
+
+// clone copies the layout header. The copy shares every array with the
+// views already handed out, so it starts exposed: its first insert merges
+// copy-on-write, and only arrays built since then are extended in place.
+func (l *sortedLayout) clone() Layout {
+	c := *l
+	c.owned = false
+	return &c
+}
+
+// sortedView is one immutable version of the sorted layout's proving
+// state, over a heap or a mapped tree.
 type sortedView struct {
 	miniTree
 }
 
-func (v sortedView) Root() cryptoutil.Hash {
-	if len(v.leaves) == 0 {
+func (v *sortedView) Root() cryptoutil.Hash {
+	if v.size() == 0 {
 		return EmptyRoot
 	}
-	return v.miniTree.root()
+	return v.root()
 }
 
-func (v sortedView) Revoked(s serial.Number) (uint64, bool) {
+func (v *sortedView) Revoked(s serial.Number) (uint64, bool) {
 	return v.revoked(s)
 }
 
 // Prove produces a presence or absence proof for s. The proof verifies
 // against Root() and the leaf count.
-func (v sortedView) Prove(s serial.Number) *Proof {
-	if len(v.leaves) == 0 {
+func (v *sortedView) Prove(s serial.Number) *Proof {
+	if v.size() == 0 {
 		return &Proof{Kind: ProofAbsenceEmpty}
 	}
-	return v.miniTree.proveLocal(s, nil, nil, 0)
+	return v.prove(s, nil, nil, 0)
 }

@@ -249,20 +249,8 @@ func TestForestProofTampering(t *testing.T) {
 		// an absence claim for the victim (which lives in bucket 2): the
 		// committed range check must catch it.
 		b1 := f.buckets[1]
-		view := tree.view().(forestView)
-		last := len(b1.tree.leaves) - 1
-		forged := &Proof{
-			Kind: ProofAbsence,
-			Left: b1.tree.proofLeaf(last),
-			Spine: &SpineSegment{
-				BucketIndex: 1,
-				NumBuckets:  uint64(len(f.buckets)),
-				LeafCount:   uint64(len(b1.tree.leaves)),
-				Lo:          b1.lo,
-				Hi:          b1.hi,
-				Path:        pathAt(view.spine, 1),
-			},
-		}
+		genuine := tree.Prove(b1.tree.leaves[len(b1.tree.leaves)-1].Serial)
+		forged := &Proof{Kind: ProofAbsence, Left: genuine.Left, Spine: genuine.Spine}
 		if _, err := forged.Verify(victim, root, n); !errors.Is(err, ErrBadProof) {
 			t.Errorf("cross-bucket absence accepted: err = %v", err)
 		}
@@ -273,19 +261,10 @@ func TestForestProofTampering(t *testing.T) {
 		// passes: the bucket commitment hash then differs, so the spine walk
 		// cannot reach the signed root.
 		b1 := f.buckets[1]
-		view := tree.view().(forestView)
-		forged := &Proof{
-			Kind: ProofAbsence,
-			Left: b1.tree.proofLeaf(len(b1.tree.leaves) - 1),
-			Spine: &SpineSegment{
-				BucketIndex: 1,
-				NumBuckets:  uint64(len(f.buckets)),
-				LeafCount:   uint64(len(b1.tree.leaves)),
-				Lo:          b1.lo,
-				Hi:          serial.Number{}, // lie: pretend unbounded above
-				Path:        pathAt(view.spine, 1),
-			},
-		}
+		genuine := tree.Prove(b1.tree.leaves[len(b1.tree.leaves)-1].Serial)
+		spine := *genuine.Spine
+		spine.Hi = serial.Number{} // lie: pretend unbounded above
+		forged := &Proof{Kind: ProofAbsence, Left: genuine.Left, Spine: &spine}
 		if _, err := forged.Verify(victim, root, n); !errors.Is(err, ErrBadProof) {
 			t.Errorf("range-widened absence accepted: err = %v", err)
 		}

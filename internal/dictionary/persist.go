@@ -15,36 +15,32 @@ import (
 // (internal/storage) persists dictionaries through. Two artifact kinds
 // exist:
 //
-//   - PersistentState is a checkpoint: the full committed state of one
-//     dictionary side (issuance log, layout descriptor — capacity
-//     included — latest signed root, freshness, and, on the authority
-//     side, the freshness-chain seed).
+//   - A checkpoint is the full committed state of one dictionary side,
+//     always in the offset-indexed v2 format (see ckptv2.go): the
+//     commitment structure itself, the layout descriptor — capacity
+//     included — the insertion-batch bounds, the latest signed root,
+//     freshness, and, on the authority side, the freshness-chain seed.
+//     Any other payload is refused as an unsupported format; there is no
+//     migration path (wipe the data dir and resync).
 //   - UpdateRecord is a WAL entry: one signed ∆ update batch (the exact
 //     IssuanceMessage that crossed the dissemination network), plus the
 //     authority's chain seed when the record was written CA-side.
 //
-// Restoring NEVER trusts the stored bytes: a replica is rebuilt by
-// replaying the log through Replica.Update, which re-verifies the root
-// signature against the trust anchor and the rebuilt root against the
-// signed root — exactly the acceptance rule for a message fresh off the
-// network (Fig 2, update step 3). An authority restore additionally checks
-// that the persisted chain seed reproduces the signed anchor. Storage
-// corruption that survives the storage tier's checksums therefore
-// surfaces as a loud verification error here, never as an unverifiable
-// root being served.
+// Restoring never serves unverified bytes. A replica restart maps the v2
+// structure after verifying the signed root's signature and its agreement
+// with the stored structure (the RA trust note in ckptv2.go); the CA and a
+// replication follower decode it into a PersistentState and rebuild by
+// replaying the log through the same acceptance rule as a message fresh
+// off the network (Fig 2, update step 3) — the rebuilt root must match the
+// signed root, whose signature must verify against the trust anchor. An
+// authority restore additionally checks that the persisted chain seed
+// reproduces the signed anchor. Storage corruption that survives the
+// storage tier's checksums therefore surfaces as a loud verification
+// error, never as an unverifiable root being served.
 
-// persistStateVersion versions the v1 PersistentState encoding. Two
-// checkpoint formats coexist: this wire-style v1 encoding (log + root;
-// restore replays) and the offset-indexed v2 format (see ckptv2.go;
-// restore materializes, readers may mmap). Writers emit v2; decoders
-// accept both — the v1 leading version byte 0x01 and the v2 magic's 'R'
-// disambiguate on the first byte. A v1 checkpoint is read once and
-// rewritten as v2 by RecoverReplicaLog; decoding is refused only on
-// corruption, never on version.
-const persistStateVersion = 1
-
-// PersistentState is the serializable committed state of one dictionary
-// side (checkpoint payload). The layout descriptor is persisted in full —
+// PersistentState is the committed state of one dictionary side as
+// full-replay restores consume it, decoded from a checkpoint by
+// DecodePersistentState. The layout descriptor is persisted in full —
 // including the forest bucket capacity — so a restore can never silently
 // change proof shapes.
 type PersistentState struct {
@@ -74,106 +70,15 @@ type PersistentState struct {
 	ChainSeed *cryptoutil.Hash
 }
 
-// Encode serializes the state.
-func (st *PersistentState) Encode() []byte {
-	e := wire.NewEncoder(256 + 8*len(st.Log))
-	e.Uint8(persistStateVersion)
-	e.Uint32(uint32(st.Layout))
-	e.Uvarint(uint64(len(st.Log)))
-	for _, s := range st.Log {
-		e.BytesField(s.Raw())
-	}
-	e.Uvarint(uint64(len(st.Batches)))
-	prev := uint64(0)
-	for _, b := range st.Batches {
-		e.Uvarint(b - prev) // ascending: delta-encoded
-		prev = b
-	}
-	if st.Root != nil {
-		e.Bool(true)
-		e.BytesField(st.Root.Encode())
-	} else {
-		e.Bool(false)
-	}
-	e.Raw(st.Freshness[:])
-	if st.ChainSeed != nil {
-		e.Bool(true)
-		e.Raw(st.ChainSeed[:])
-	} else {
-		e.Bool(false)
-	}
-	return e.Bytes()
-}
-
-// DecodePersistentState parses a checkpoint payload in either format:
-// the v1 encoding produced by Encode, or the offset-indexed v2 format —
-// materialized back into the in-memory PersistentState, so full-replay
-// restore paths (the authority's) are format-agnostic.
+// DecodePersistentState parses a v2 checkpoint payload into the in-memory
+// PersistentState that full-replay restores (the authority's, and a
+// replication follower's adoption) consume.
 func DecodePersistentState(buf []byte) (*PersistentState, error) {
-	if IsStateV2(buf) {
-		st, err := OpenMappedState(buf)
-		if err != nil {
-			return nil, err
-		}
-		return st.toPersistent()
+	st, err := OpenMappedState(buf)
+	if err != nil {
+		return nil, err
 	}
-	d := wire.NewDecoder(buf)
-	if v := d.Uint8(); v != persistStateVersion {
-		if d.Err() != nil {
-			return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-		}
-		return nil, fmt.Errorf("decode persistent state: unknown version %d", v)
-	}
-	var st PersistentState
-	st.Layout = LayoutKind(d.Uint32())
-	count := d.Uvarint()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-	}
-	const maxLog = 1 << 28 // sanity bound, far beyond any real dictionary
-	if count > maxLog {
-		return nil, fmt.Errorf("decode persistent state: log of %d entries exceeds limit", count)
-	}
-	st.Log = make([]serial.Number, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s, err := serial.New(d.BytesField())
-		if err != nil {
-			return nil, fmt.Errorf("decode persistent state serial %d: %w", i, err)
-		}
-		st.Log = append(st.Log, s)
-	}
-	nBatches := d.Uvarint()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-	}
-	if nBatches > count {
-		return nil, fmt.Errorf("decode persistent state: %d batches for %d entries", nBatches, count)
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < nBatches; i++ {
-		prev += d.Uvarint()
-		st.Batches = append(st.Batches, prev)
-	}
-	if d.Bool() {
-		root, err := DecodeSignedRoot(d.BytesField())
-		if err != nil {
-			return nil, fmt.Errorf("decode persistent state: %w", err)
-		}
-		st.Root = root
-	}
-	fresh, _ := cryptoutil.HashFromBytes(d.Raw(cryptoutil.HashSize))
-	st.Freshness = fresh
-	if d.Bool() {
-		seed, _ := cryptoutil.HashFromBytes(d.Raw(cryptoutil.HashSize))
-		st.ChainSeed = &seed
-	}
-	if d.Err() != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", err)
-	}
-	return &st, nil
+	return st.toPersistent()
 }
 
 // UpdateRecord is one WAL entry: a signed issuance batch, plus — on
@@ -278,20 +183,6 @@ func DecodeFreshnessRecord(buf []byte) (*FreshnessRecord, error) {
 	return &r, nil
 }
 
-// PersistentState exports the replica's current committed state for a
-// checkpoint. It reads one published snapshot, so the log, root, and
-// freshness are mutually consistent even under concurrent updates.
-func (r *Replica) PersistentState() *PersistentState {
-	snap := r.Snapshot()
-	return &PersistentState{
-		Layout:    r.layoutKind,
-		Log:       snap.Log(),
-		Batches:   snap.Batches(),
-		Root:      snap.Root(),
-		Freshness: snap.Freshness(),
-	}
-}
-
 // RestoreReplica rebuilds a replica from a checkpoint state, re-verifying
 // everything against the trust anchor pub: the persisted log is replayed
 // through Update, which accepts it only if the rebuilt root matches the
@@ -383,16 +274,14 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 	return nil
 }
 
-// RecoverReplicaLog rebuilds a replica from an opened durable log. A v2
+// RecoverReplicaLog rebuilds a replica from an opened durable log. The v2
 // checkpoint takes the map-don't-replay path: the commitment structure is
 // materialized straight off the encoded arrays with zero rehashing, after
 // the signed root's signature and its agreement with the stored structure
-// are verified (see the trust note in ckptv2.go). A v1 checkpoint is
-// restored the original way — full replay through RestoreReplica — and
-// then rewritten in place as v2, so the migration cost is paid exactly
-// once per store; decoding is refused only on corruption, never on
-// version. WAL records after the checkpoint are replayed via ReplayUpdate
-// (update records) or ApplyFreshness (freshness records, best-effort).
+// are verified (see the trust note in ckptv2.go). A checkpoint in any
+// other format is refused. WAL records after the checkpoint are replayed
+// via ReplayUpdate (update records) or ApplyFreshness (freshness records,
+// best-effort).
 //
 // The persisted layout descriptor must equal layout: adopting either
 // silently would change proof shapes (or reject every future update)
@@ -406,44 +295,21 @@ func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout La
 		return nil, fmt.Errorf("dictionary: load durable log for %s: %w", ca, err)
 	}
 	replica := NewReplicaWithLayout(ca, pub, layout)
-	migrate := false
-	if IsStateV2(ckpt) {
+	if ckpt != nil {
 		st, err := OpenMappedState(ckpt)
 		if err != nil {
 			return nil, fmt.Errorf("dictionary: decode checkpoint for %s: %w", ca, err)
 		}
-		if st.layout != layout {
-			return nil, fmt.Errorf("dictionary: %s persisted with layout %v, configured for %v (the layout — bucket capacity included — is part of the committed state; wipe the data dir to change it)",
-				ca, st.layout, layout)
+		if err := st.checkLayout(ca, layout); err != nil {
+			return nil, err
 		}
 		if replica, err = restoreReplicaV2(ca, pub, st, now); err != nil {
 			return nil, err
 		}
-	} else if ckpt != nil {
-		st, err := DecodePersistentState(ckpt)
-		if err != nil {
-			return nil, fmt.Errorf("dictionary: decode checkpoint for %s: %w", ca, err)
-		}
-		if st.Layout != layout {
-			return nil, fmt.Errorf("dictionary: %s persisted with layout %v, configured for %v (the layout — bucket capacity included — is part of the committed state; wipe the data dir to change it)",
-				ca, st.Layout, layout)
-		}
-		if replica, err = RestoreReplica(ca, pub, st, now); err != nil {
-			return nil, err
-		}
-		migrate = true
 	}
 	for i, raw := range wal {
 		if err := ApplyLogRecord(replica, raw, now); err != nil {
 			return nil, fmt.Errorf("WAL record %d: %w", i, err)
-		}
-	}
-	if migrate {
-		// One-time v1 → v2 rewrite: the replayed state was just verified in
-		// full, so persisting it as v2 loses nothing — and every later
-		// restart (and mapped reader) gets the offset-indexed format.
-		if err := lg.Checkpoint(replica.PersistentStateV2()); err != nil {
-			return nil, fmt.Errorf("dictionary: rewrite v1 checkpoint for %s as v2: %w", ca, err)
 		}
 	}
 	return replica, nil
@@ -466,21 +332,6 @@ func (a *Authority) ChainSeed() cryptoutil.Hash {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.chain.Seed()
-}
-
-// PersistentState exports the authority's committed state — log, signed
-// root, and chain seed — for a checkpoint.
-func (a *Authority) PersistentState() *PersistentState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	seed := a.chain.Seed()
-	return &PersistentState{
-		Layout:    a.cfg.Layout,
-		Log:       a.tree.Log(),
-		Batches:   append([]uint64(nil), a.tree.BatchBounds()...),
-		Root:      a.root,
-		ChainSeed: &seed,
-	}
 }
 
 // RestoreAuthority rebuilds a CA-side dictionary from a checkpoint plus

