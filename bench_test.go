@@ -450,9 +450,10 @@ func (env *hotpathEnv) zipfQueries(seed int64) func() serial.Number {
 }
 
 // reportHotpathMetrics attaches the cache-effectiveness metrics to a
-// parallel benchmark run: hit rate over the run and the number of
-// snapshot swaps absorbed, so BENCH_*.json entries can track the
-// hot-path trajectory across PRs.
+// parallel benchmark run: hit rate over the run, the number of snapshot
+// swaps absorbed, and the cached statuses left at the end — at most one
+// generation's keys, however many swaps the run absorbed — so
+// BENCH_*.json entries can track the hot-path trajectory across PRs.
 func reportHotpathMetrics(b *testing.B, store *ra.Store, before ra.CacheStats, swapsBefore uint64) {
 	b.Helper()
 	after := store.CacheStats()
@@ -462,6 +463,7 @@ func reportHotpathMetrics(b *testing.B, store *ra.Store, before ra.CacheStats, s
 	}
 	b.ReportMetric(d.HitRate(), "cache-hit-rate")
 	b.ReportMetric(float64(store.SnapshotSwaps()-swapsBefore), "snapshot-swaps")
+	b.ReportMetric(float64(after.Entries), "cache-entries")
 }
 
 // BenchmarkProveParallel is the cold path: every operation constructs and

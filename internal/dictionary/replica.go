@@ -74,11 +74,6 @@ func (r *Replica) publish() {
 // of them.
 func (r *Replica) Snapshot() *Snapshot { return r.snap.Load() }
 
-// CurrentGeneration returns the generation of the current snapshot.
-// Generation-validated caches (ra's status cache) use it to test entry
-// staleness without retaining the snapshot itself.
-func (r *Replica) CurrentGeneration() uint64 { return r.snap.Load().Generation() }
-
 // CA returns the CA whose dictionary this replica mirrors.
 func (r *Replica) CA() CAID { return r.ca }
 

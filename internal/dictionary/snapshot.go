@@ -21,8 +21,8 @@ import (
 // revocation status is immutable for a whole ∆ window. Proof, signed root,
 // and freshness statement only change when a new root or freshness
 // statement arrives, so one Generation value summarizes everything a
-// status depends on. Caches key on (CA, serial) and compare generations:
-// equal generation ⇒ byte-identical status.
+// status depends on. Caches scope their entries to one replica's
+// generation: equal generation ⇒ byte-identical status.
 type Snapshot struct {
 	ca        CAID
 	view      LayoutView

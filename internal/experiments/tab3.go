@@ -146,10 +146,13 @@ func tab3Rows(env *tab3Env, iters int) []tab3Row {
 // signing) and an RA replaying it (rebuild + signature + root check). The
 // paper does not state the base dictionary size for its 2.93 ms figure;
 // both a small base (matching the paper's magnitude) and the largest-CRL
-// base (the worst case for our O(n)-rebuild tree) are reported.
+// base (the worst case for our O(n)-rebuild tree) are reported. The bases
+// are sampled round-robin and each sample is the fastest of tab3Samples
+// batches (measureInterleaved), so a slow phase of the machine lands on
+// both bases alike.
 func DictOps(quick bool) (*Table, error) {
 	bases := []int{dictOpsSmallBase, workload.LargestCRLEntries}
-	iters := 10
+	iters := 4
 	if quick {
 		// Keep an order of magnitude between the bases so the O(n)-rebuild
 		// ordering is observable even under noisy timing.
@@ -163,12 +166,23 @@ func DictOps(quick bool) (*Table, error) {
 		Notes: []string{
 			"insert cost is dominated by the full O(n) rebuild at large n; the paper's",
 			"2.93 ms corresponds to a small base dictionary",
+			fmt.Sprintf("each sample is the fastest of %d batches; every batch grows the base by 1,000", tab3Samples),
 		},
 	}
+	var probes []probe
 	for _, base := range bases {
-		if err := dictOpsAt(t, base, iters); err != nil {
+		p, err := dictOpsProbes(base, iters*tab3Samples)
+		if err != nil {
 			return nil, err
 		}
+		probes = append(probes, p...)
+	}
+	timings := measureInterleaved(iters, tab3Samples, probes)
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
+	for i, base := range bases {
+		ins, upd := timings[2*i], timings[2*i+1]
+		t.AddRow("CA", "insert 1,000 (rebuild+chain+sign)", base, ms(ins.Max), ms(ins.Min), ms(ins.Avg))
+		t.AddRow("RA", "update 1,000 (replay+verify)", base, ms(upd.Max), ms(upd.Min), ms(upd.Avg))
 	}
 	return t, nil
 }
@@ -176,52 +190,45 @@ func DictOps(quick bool) (*Table, error) {
 // dictOpsSmallBase is the average-CRL-sized base dictionary (§VII-A).
 const dictOpsSmallBase = 5_440
 
-func dictOpsAt(t *Table, entries, iters int) error {
+// dictOpsProbes returns the insert and update probes for one base
+// dictionary of the given size, with batches for n inserts generated up
+// front. measureInterleaved runs each probe's k batches back to back, so
+// the k updates of a sample replay the k messages its inserts produced.
+func dictOpsProbes(entries, n int) ([]probe, error) {
 	authority, gen, err := buildAuthority(entries)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	replica := dictionary.NewReplica(authority.CA(), authority.PublicKey())
 	seed, err := authority.LogSuffix(0, authority.Count())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := replica.Update(&dictionary.IssuanceMessage{Serials: seed, Root: authority.SignedRoot()}); err != nil {
-		return err
+		return nil, err
 	}
-
+	batches := make([][]serial.Number, n)
+	for i := range batches {
+		batches[i] = gen.NextN(1000)
+	}
 	now := time.Now().Unix()
-	insertT := timing{Min: time.Duration(1<<63 - 1)}
-	updateT := timing{Min: time.Duration(1<<63 - 1)}
-	var insertSum, updateSum time.Duration
-	for i := 0; i < iters; i++ {
-		batch := gen.NextN(1000)
-		start := time.Now()
-		msg, err := authority.Insert(batch, now)
-		if err != nil {
-			return err
-		}
-		d := time.Since(start)
-		insertSum += d
-		insertT.Max = max(insertT.Max, d)
-		insertT.Min = min(insertT.Min, d)
-
-		start = time.Now()
-		if err := replica.Update(msg); err != nil {
-			return err
-		}
-		d = time.Since(start)
-		updateSum += d
-		updateT.Max = max(updateT.Max, d)
-		updateT.Min = min(updateT.Min, d)
-	}
-	insertT.Avg = insertSum / time.Duration(iters)
-	updateT.Avg = updateSum / time.Duration(iters)
-
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
-	t.AddRow("CA", "insert 1,000 (rebuild+chain+sign)", entries, ms(insertT.Max), ms(insertT.Min), ms(insertT.Avg))
-	t.AddRow("RA", "update 1,000 (replay+verify)", entries, ms(updateT.Max), ms(updateT.Min), ms(updateT.Avg))
-	return nil
+	var pending []*dictionary.IssuanceMessage
+	return []probe{
+		{1, func() {
+			msg, err := authority.Insert(batches[0], now)
+			if err != nil {
+				panic(err)
+			}
+			batches = batches[1:]
+			pending = append(pending, msg)
+		}},
+		{1, func() {
+			if err := replica.Update(pending[0]); err != nil {
+				panic(err)
+			}
+			pending = pending[1:]
+		}},
+	}, nil
 }
 
 // Throughput derives the §VII-D headline rates from the Table III

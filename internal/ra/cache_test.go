@@ -2,10 +2,8 @@ package ra
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
-
-	"ritm/internal/cryptoutil"
-	"ritm/internal/dictionary"
 )
 
 // smallStatusCache returns a cache with a tiny per-shard capacity so
@@ -17,110 +15,107 @@ func smallStatusCache(shardCap int) *statusCache {
 	return c
 }
 
-func testReplica(t *testing.T) *dictionary.Replica {
-	t.Helper()
-	signer, err := cryptoutil.NewSigner(nil)
-	if err != nil {
-		t.Fatal(err)
+func keyOf(i int) []byte { return []byte(fmt.Sprintf("sn-%d", i)) }
+
+func entry() *cacheEntry { return &cacheEntry{encoded: []byte{1}} }
+
+// fill looks key up at gen and, on a miss, installs a fresh entry the way
+// Store.Status does; it reports whether the lookup hit.
+func fill(c *statusCache, slot *atomic.Pointer[statusTable], gen uint64, key []byte) bool {
+	e, t := c.get(slot, gen, key)
+	if e != nil {
+		return true
 	}
-	return dictionary.NewReplica("CacheCA", signer.Public())
+	if t != nil {
+		c.put(t, key, entry())
+	}
+	return false
 }
 
-func entryFor(r *dictionary.Replica, gen uint64) *cacheEntry {
-	return &cacheEntry{source: r, gen: gen, encoded: []byte{1}}
-}
-
-func keyOf(i int) cacheKey {
-	return cacheKey{ca: "CacheCA", sn: fmt.Sprintf("sn-%d", i)}
-}
-
-// TestStatusCacheEvictionBounded floods the cache far past its capacity:
-// the entry count must stay bounded per shard and every admission beyond
-// capacity must be a single-entry eviction, not a shard reset.
+// TestStatusCacheEvictionBounded floods one generation's table far past
+// its capacity: the entry count must stay bounded per shard and every
+// admission beyond capacity must be a single-entry eviction, not a shard
+// reset.
 func TestStatusCacheEvictionBounded(t *testing.T) {
 	const shardCap = 4
 	c := smallStatusCache(shardCap)
-	r := testReplica(t)
+	var slot atomic.Pointer[statusTable]
 	const inserts = 64 * shardCap * 4
 	for i := 0; i < inserts; i++ {
-		c.put(keyOf(i), entryFor(r, 0))
+		fill(c, &slot, 7, keyOf(i))
 	}
-	st := c.stats()
-	if max := cacheShardCount * shardCap; st.Entries > max {
-		t.Errorf("entries = %d, want ≤ %d", st.Entries, max)
+	entries := slot.Load().entries()
+	if max := cacheShardCount * shardCap; entries > max {
+		t.Errorf("entries = %d, want ≤ %d", entries, max)
 	}
-	if st.Entries < shardCap { // the load spreads over 64 shards
-		t.Errorf("entries = %d, implausibly low", st.Entries)
+	if entries < shardCap { // the load spreads over 64 shards
+		t.Errorf("entries = %d, implausibly low", entries)
 	}
-	if want := int64(inserts - cacheShardCount*shardCap); st.Evictions < want {
-		t.Errorf("evictions = %d, want ≥ %d", st.Evictions, want)
+	if want := int64(inserts - cacheShardCount*shardCap); c.counts().Evictions < want {
+		t.Errorf("evictions = %d, want ≥ %d", c.counts().Evictions, want)
 	}
 }
 
 // TestStatusCacheHotEntrySurvivesEviction is the thrashing regression the
 // whole-shard reset had: a continuously hit entry must survive arbitrarily
-// many cold insertions, because every hit re-arms its second-chance bit.
+// many cold insertions within its generation, because every hit re-arms
+// its second-chance bit.
 func TestStatusCacheHotEntrySurvivesEviction(t *testing.T) {
 	c := smallStatusCache(4)
-	r := testReplica(t)
-	gen := r.Snapshot().Generation()
+	var slot atomic.Pointer[statusTable]
 	hot := keyOf(1_000_000)
-	c.put(hot, entryFor(r, gen))
+	fill(c, &slot, 3, hot)
 	for i := 0; i < 2000; i++ {
-		c.put(keyOf(i), entryFor(r, gen))
-		if _, ok := c.get(hot, r, gen); !ok {
+		fill(c, &slot, 3, keyOf(i))
+		if !fill(c, &slot, 3, hot) {
 			t.Fatalf("hot entry evicted after %d cold inserts", i+1)
 		}
 	}
-	if c.stats().Evictions == 0 {
+	if c.counts().Evictions == 0 {
 		t.Fatal("no evictions happened; the test exercised nothing")
 	}
 }
 
-// TestStatusCacheEvictsStaleFirst: an entry whose generation the replica
-// has already superseded is unservable dead weight, so the eviction scan
-// removes it before touching any live entry.
-func TestStatusCacheEvictsStaleFirst(t *testing.T) {
-	const shardCap = 4
-	c := smallStatusCache(shardCap)
-	r := testReplica(t)
-	gen := r.Snapshot().Generation()
-
-	// Collect cap+2 keys that hash to one shard so the overflow is local.
-	shard := c.shardFor(keyOf(0))
-	keys := []cacheKey{keyOf(0)}
-	for i := 1; len(keys) < shardCap+2; i++ {
-		if c.shardFor(keyOf(i)) == shard {
-			keys = append(keys, keyOf(i))
+// TestStatusCacheHoldsOneGeneration: the first lookup at a newer
+// generation drops the previous generation's statuses wholesale — the
+// table then holds exactly the new generation's keys — and a straggler
+// still holding the old generation proves uncached: it neither hits nor
+// installs.
+func TestStatusCacheHoldsOneGeneration(t *testing.T) {
+	c := newStatusCache()
+	var slot atomic.Pointer[statusTable]
+	const g, m, k = 5, 500, 37
+	for i := 0; i < m; i++ {
+		fill(c, &slot, g, keyOf(i))
+	}
+	if got := slot.Load().entries(); got != m {
+		t.Fatalf("generation %d holds %d entries, want %d", g, got, m)
+	}
+	for i := 0; i < k; i++ {
+		if fill(c, &slot, g+1, keyOf(i)) {
+			t.Fatalf("key %d hit at generation %d with a status of %d", i, g+1, g)
 		}
 	}
-
-	stale := keys[0]
-	c.put(stale, entryFor(r, gen+99)) // generation the replica never published
-	live := keys[1 : shardCap+1]
-	for _, k := range live[:len(live)-1] {
-		c.put(k, entryFor(r, gen))
-		c.get(k, r, gen) // arm the access bit
+	if got := slot.Load().entries(); got != k {
+		t.Fatalf("after advancing, entries = %d, want %d (one generation)", got, k)
 	}
-	// The shard is now full; this admission must evict, and must pick the
-	// stale entry regardless of scan order.
-	c.put(live[len(live)-1], entryFor(r, gen))
-	shard.mu.RLock()
-	_, staleAlive := shard.m[stale]
-	liveCount := 0
-	for _, k := range live {
-		if _, ok := shard.m[k]; ok {
-			liveCount++
+
+	before := c.counts()
+	for _, i := range []int{0, k - 1, m - 1} { // in g+1 and g; only in g
+		if e, tbl := c.get(&slot, g, keyOf(i)); e != nil || tbl != nil {
+			t.Fatalf("straggler at %d: entry %v, table %v; want an uncached miss", g, e, tbl)
 		}
 	}
-	shard.mu.RUnlock()
-	if staleAlive {
-		t.Error("stale entry survived an eviction")
+	after := c.counts()
+	if after.Hits != before.Hits || after.Misses != before.Misses+3 {
+		t.Errorf("straggler lookups counted hits %d→%d misses %d→%d, want 3 misses",
+			before.Hits, after.Hits, before.Misses, after.Misses)
 	}
-	if liveCount != len(live) {
-		t.Errorf("live entries = %d, want %d", liveCount, len(live))
+	if got := slot.Load(); got.gen != g+1 || got.entries() != k {
+		t.Errorf("straggler changed the table: gen %d entries %d, want %d/%d", got.gen, got.entries(), g+1, k)
 	}
-	if got := c.stats().Evictions; got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
+	// The current generation still serves what it holds.
+	if !fill(c, &slot, g+1, keyOf(0)) {
+		t.Error("current generation no longer serves its own entry")
 	}
 }

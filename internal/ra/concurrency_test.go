@@ -264,3 +264,173 @@ func TestRemoveExpiredShards(t *testing.T) {
 		t.Errorf("width 0 pruned %v", removed)
 	}
 }
+
+// TestStatusCacheInstanceChurn races data-path Status callers against
+// snapshot swaps and against Remove, ReplaceReplica and AddCA of the same
+// CA, under -race. Every instance the mutator installs reaches the same
+// low generations (1, then 2) with a different signed root, so a status
+// table that outlived its instance would be caught serving an old root at
+// a colliding generation. A returned status must verify and carry the
+// root of a state current at some point during the call; an error must
+// match a state without a dictionary or without a root. Entries never
+// exceed the callers' distinct keys: one generation of one instance.
+func TestStatusCacheInstanceChurn(t *testing.T) {
+	signer, err := cryptoutil.NewSigner(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ca = dictionary.CAID("ChurnCA")
+	root, err := cert.Issue(ca, signer, cert.Template{
+		SerialNumber: serial.FromUint64(1),
+		Subject:      string(ca),
+		NotBefore:    0,
+		NotAfter:     1 << 40,
+		PublicKey:    signer.Public(),
+		IsCA:         true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().Unix()
+	auth, err := dictionary.NewAuthority(dictionary.AuthorityConfig{CA: ca, Signer: signer, Delta: time.Hour}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Signed states 0..states-1 at counts 10, 20, ...: state j is one
+	// Update from empty (generation 1); state j+1 is one more from j
+	// (generation 2).
+	const states = 6
+	gen := serial.NewGenerator(0xC4C4E, nil)
+	roots := make([]*dictionary.SignedRoot, states)
+	for j := range roots {
+		if _, err := auth.Insert(gen.NextN(10), now); err != nil {
+			t.Fatal(err)
+		}
+		roots[j] = auth.SignedRoot()
+	}
+	log, err := auth.LogSuffix(0, auth.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(j int) uint64 { return roots[j].N }
+	fromEmpty := func(j int) *dictionary.IssuanceMessage {
+		return &dictionary.IssuanceMessage{Serials: log[:count(j)], Root: roots[j]}
+	}
+	advance := func(j int) *dictionary.IssuanceMessage {
+		return &dictionary.IssuanceMessage{Serials: log[count(j):count(j+1)], Root: roots[j+1]}
+	}
+
+	store, err := NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := append(append([]serial.Number{}, log[:10]...), gen.NextN(22)...) // revoked in every state, and absent
+
+	// expect[k] is the state step k creates: a root count, or noDict /
+	// noRoot. It is stored before step k runs and step is bumped after,
+	// so a caller that saw step s0 before its call and s1 after it was
+	// served one of expect[s0..s1+1].
+	const (
+		rounds = 150
+		noDict = -1
+		noRoot = -2
+	)
+	expect := make([]atomic.Int64, 5*rounds+1)
+	expect[0].Store(noRoot) // NewStore starts with an empty replica
+	var step atomic.Int64
+	mutate := func(want int64, f func() error) {
+		k := step.Load() + 1
+		expect[k].Store(want)
+		if err := f(); err != nil {
+			t.Error(err)
+		}
+		step.Store(k)
+	}
+	update := func(msg *dictionary.IssuanceMessage) func() error {
+		return func() error {
+			r, err := store.Replica(ca)
+			if err != nil {
+				return err
+			}
+			return r.Update(msg)
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 0; r < rounds; r++ {
+			j, k := r%(states-1), (r+2)%(states-1)
+			fresh := dictionary.NewReplica(ca, signer.Public())
+			if err := fresh.Update(fromEmpty(j)); err != nil {
+				t.Error(err)
+				return
+			}
+			mutate(int64(count(j)), func() error { return store.ReplaceReplica(ca, fresh) })
+			mutate(int64(count(j+1)), update(advance(j)))
+			mutate(noDict, func() error { store.Remove(ca); return nil })
+			mutate(noRoot, func() error { return store.AddCA(root) })
+			mutate(int64(count(k)), update(fromEmpty(k)))
+			if n := store.CacheStats().Entries; n > len(pool) {
+				t.Errorf("cache holds %d entries, more than the %d distinct keys", n, len(pool))
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 7))
+			allowed := func(s0, s1 int64, want int64) bool {
+				for k := s0; k <= s1+1 && k < int64(len(expect)); k++ {
+					if expect[k].Load() == want {
+						return true
+					}
+				}
+				return false
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sn := pool[rng.IntN(len(pool))]
+				s0 := step.Load()
+				st, _, err := store.Status(ca, sn)
+				s1 := step.Load()
+				switch {
+				case errors.Is(err, ErrNoDictionary):
+					if !allowed(s0, s1, noDict) {
+						t.Errorf("steps %d..%d: ErrNoDictionary while the CA was served", s0, s1)
+						return
+					}
+				case errors.Is(err, dictionary.ErrDesynchronized):
+					if !allowed(s0, s1, noRoot) {
+						t.Errorf("steps %d..%d: no-root error while a root was served", s0, s1)
+						return
+					}
+				case err != nil:
+					t.Errorf("status: %v", err)
+					return
+				default:
+					if _, err := st.Check(sn, signer.Public(), now); err != nil {
+						t.Errorf("served status does not verify: %v", err)
+						return
+					}
+					if !allowed(s0, s1, int64(st.Root.N)) {
+						t.Errorf("steps %d..%d: served root n=%d of a removed or replaced instance", s0, s1, st.Root.N)
+						return
+					}
+				}
+			}
+		}(uint64(c + 1))
+	}
+	wg.Wait()
+	if st := store.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("hits %d misses %d: the race exercised no cache traffic", st.Hits, st.Misses)
+	}
+}

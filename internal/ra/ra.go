@@ -298,7 +298,7 @@ func (ra *RA) Resync(ca dictionary.CAID) error {
 	// (the normal suffix pull will succeed next cycle) or an edge cache
 	// served a stale pre-restart (ca, 0) response — swapping that in would
 	// reinstate the exact state that produced ErrAhead and livelock the
-	// recovery (purging the status cache every cycle) until the entry
+	// recovery (dropping the status table every cycle) until the entry
 	// expires. Either way: don't swap, report, retry next cycle.
 	if fresh.Count() >= old.Count() {
 		return fmt.Errorf("ra: resync %s: origin returned %d revocations, not behind our %d (stale edge cache or origin recovered); deferring",

@@ -24,8 +24,8 @@ import (
 // corruption can only cost availability, never forge a status.
 
 // sharedState is one published (snapshot, generation) pair. Publishing
-// them together keeps the status cache sound: a cached entry's
-// generation always labels the snapshot it was actually computed from.
+// them together keeps the status cache sound: a status table's
+// generation always labels the snapshot its statuses were computed from.
 type sharedState struct {
 	snap *dictionary.MappedSnapshot
 	gen  uint64
@@ -73,7 +73,8 @@ func newSharedDict(ca dictionary.CAID, pub ed25519.PublicKey, layout dictionary.
 	return d, nil
 }
 
-// CurrentGeneration implements cacheSource.
+// CurrentGeneration returns the generation of the published snapshot (0
+// before the first).
 func (d *sharedDict) CurrentGeneration() uint64 {
 	if st := d.state.Load(); st != nil {
 		return st.gen

@@ -43,17 +43,18 @@ var (
 // from.
 //
 // The store is RCU-structured for the RA's read-dominated workload: the
-// CA→replica map, the sorted CA list, and the trust pool live in one
-// immutable storeView behind an atomic pointer. Readers (Prove, Status,
-// Replica, CAs, LatestRoot — every handshake-path operation) load the
-// pointer and never take a lock; the rare writers (AddCA, Remove,
-// RemoveExpired) build the next view under a mutex and swap it in. Each
+// CA→dictionary map (each dictionary with its status table), the sorted
+// CA list, and the trust pool live in one immutable storeView behind an
+// atomic pointer. Readers (Prove, Status, Replica, CAs, LatestRoot —
+// every handshake-path operation) load the pointer and never take a
+// lock; the rare writers (AddCA, Remove, RemoveExpired) build the next
+// view under a mutex and swap it in. Each
 // replica in turn publishes lock-free snapshots, so a status is produced
 // without acquiring any lock anywhere on the path.
 type Store struct {
 	view   atomic.Pointer[storeView]
-	wmu    sync.Mutex // serializes view writers
-	cache  *statusCache
+	wmu    sync.Mutex            // serializes view writers
+	cache  *statusCache          // store-wide seed, capacity and counters; tables live in the view
 	layout dictionary.LayoutKind // commitment layout for every replica
 
 	// sharedMode marks a read-only store: dictionaries are served from
@@ -118,13 +119,23 @@ type StoreOptions struct {
 
 // storeView is one immutable configuration of the store. All fields —
 // including the pool — are replaced wholesale, never mutated, once the
-// view is published. Exactly one of replicas/shared is populated per CA:
-// owned dictionaries live in replicas, shared-mode readers in shared.
+// view is published.
 type storeView struct {
-	replicas map[dictionary.CAID]*dictionary.Replica
-	shared   map[dictionary.CAID]*sharedDict
-	cas      []dictionary.CAID // sorted
-	pool     *cert.Pool
+	dicts map[dictionary.CAID]*servedDict
+	cas   []dictionary.CAID // sorted
+	pool  *cert.Pool
+}
+
+// servedDict is one dictionary instance the store serves statuses from,
+// with the status table scoped to it (see statusCache). Exactly one of
+// replica and shared is set: an owned replica, or in shared mode a
+// read-only reader of another process's state. A new instance — AddCA,
+// ReplaceReplica — always comes with a new, empty table, and Remove drops
+// the table with the instance.
+type servedDict struct {
+	replica *dictionary.Replica
+	shared  *sharedDict
+	table   atomic.Pointer[statusTable]
 }
 
 // NewStore creates an empty store trusting the given root certificates; a
@@ -171,11 +182,7 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 		s.mapper = mapper
 		s.backend = nil // readers never open the logs for writing
 	}
-	s.view.Store(&storeView{
-		replicas: map[dictionary.CAID]*dictionary.Replica{},
-		shared:   map[dictionary.CAID]*sharedDict{},
-		pool:     pool,
-	})
+	s.view.Store(&storeView{dicts: map[dictionary.CAID]*servedDict{}, pool: pool})
 	for _, r := range roots {
 		if err := s.AddCA(r); err != nil {
 			return nil, err
@@ -184,31 +191,24 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 	return s, nil
 }
 
-// clone copies the view's map and CA list so a writer can mutate them
-// before publishing. The pool is cloned too: published views must never
-// observe later AddRoot calls.
+// clone copies the view's map so a writer can mutate it before
+// publishing. The pool is cloned too: published views must never observe
+// later AddRoot calls.
 func (v *storeView) clone() *storeView {
 	next := &storeView{
-		replicas: make(map[dictionary.CAID]*dictionary.Replica, len(v.replicas)+1),
-		shared:   make(map[dictionary.CAID]*sharedDict, len(v.shared)+1),
-		pool:     v.pool.Clone(),
+		dicts: make(map[dictionary.CAID]*servedDict, len(v.dicts)+1),
+		pool:  v.pool.Clone(),
 	}
-	for ca, r := range v.replicas {
-		next.replicas[ca] = r
-	}
-	for ca, d := range v.shared {
-		next.shared[ca] = d
+	for ca, d := range v.dicts {
+		next.dicts[ca] = d
 	}
 	return next
 }
 
 // rebuildCAs recomputes the sorted CA list; caller publishes next.
 func (v *storeView) rebuildCAs() {
-	v.cas = make([]dictionary.CAID, 0, len(v.replicas)+len(v.shared))
-	for ca := range v.replicas {
-		v.cas = append(v.cas, ca)
-	}
-	for ca := range v.shared {
+	v.cas = make([]dictionary.CAID, 0, len(v.dicts))
+	for ca := range v.dicts {
 		v.cas = append(v.cas, ca)
 	}
 	sort.Slice(v.cas, func(i, j int) bool { return v.cas[i] < v.cas[j] })
@@ -224,9 +224,7 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.view.Load()
-	_, dupR := cur.replicas[root.Issuer]
-	_, dupS := cur.shared[root.Issuer]
-	if dupR || dupS {
+	if _, dup := cur.dicts[root.Issuer]; dup {
 		// Same trust anchor, dictionary already live: only the pool changes.
 		next := cur.clone()
 		if err := next.pool.AddRoot(root); err != nil {
@@ -246,7 +244,7 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 			d.close()
 			return fmt.Errorf("ra: add CA: %w", err)
 		}
-		next.shared[root.Issuer] = d
+		next.dicts[root.Issuer] = &servedDict{shared: d}
 		next.rebuildCAs()
 		s.view.Store(next)
 		return nil
@@ -262,7 +260,7 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 		}
 		return fmt.Errorf("ra: add CA: %w", err)
 	}
-	next.replicas[root.Issuer] = replica
+	next.dicts[root.Issuer] = &servedDict{replica: replica}
 	next.rebuildCAs()
 	if lg != nil {
 		s.pmu.Lock()
@@ -339,11 +337,11 @@ func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg
 // replaying it, and co-located shared-data readers serve straight from
 // the mapping. Caller holds cl.mu.
 func (s *Store) checkpointLocked(ca dictionary.CAID, cl *caLog) error {
-	r, ok := s.view.Load().replicas[ca]
-	if !ok {
+	d, ok := s.view.Load().dicts[ca]
+	if !ok || d.replica == nil {
 		return nil
 	}
-	if err := cl.log.Checkpoint(r.PersistentStateV2()); err != nil {
+	if err := cl.log.Checkpoint(d.replica.PersistentStateV2()); err != nil {
 		return fmt.Errorf("ra: checkpoint %s: %w", ca, err)
 	}
 	cl.appended = 0
@@ -394,8 +392,8 @@ func (s *Store) applyFreshness(ca dictionary.CAID, replica *dictionary.Replica, 
 func (s *Store) Close() error {
 	var firstErr error
 	if s.sharedMode {
-		for _, d := range s.view.Load().shared {
-			if err := d.close(); err != nil && firstErr == nil {
+		for _, d := range s.view.Load().dicts {
+			if err := d.shared.close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -421,32 +419,28 @@ func (s *Store) Close() error {
 	return firstErr
 }
 
-// Remove stops replicating a dictionary, frees its replica, and purges its
-// cached statuses. With expiry-sharded dictionaries (§VIII "Ever-growing
-// dictionaries"), RAs call it — normally through RemoveExpired — for
-// shards whose certificates have all expired, reclaiming the storage. The
-// trust anchor stays in the pool: removal is about storage, not trust.
+// Remove stops replicating a dictionary and frees its replica together
+// with its cached statuses. With expiry-sharded dictionaries (§VIII
+// "Ever-growing dictionaries"), RAs call it — normally through
+// RemoveExpired — for shards whose certificates have all expired,
+// reclaiming the storage. The trust anchor stays in the pool: removal is
+// about storage, not trust.
 func (s *Store) Remove(ca dictionary.CAID) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.view.Load()
-	if d, ok := cur.shared[ca]; ok {
-		next := cur.clone()
-		delete(next.shared, ca)
-		next.rebuildCAs()
-		s.view.Store(next)
-		s.cache.purgeCA(ca)
-		d.close() //nolint:errcheck // release the mappings; the files belong to the writer
-		return
-	}
-	if _, ok := cur.replicas[ca]; !ok {
+	d, ok := cur.dicts[ca]
+	if !ok {
 		return
 	}
 	next := cur.clone()
-	delete(next.replicas, ca)
+	delete(next.dicts, ca)
 	next.rebuildCAs()
 	s.view.Store(next)
-	s.cache.purgeCA(ca)
+	if d.shared != nil {
+		d.shared.close() //nolint:errcheck // release the mappings; the files belong to the writer
+		return
+	}
 	// Reclaim the durable state too: removal is the §VIII storage-reclaim
 	// path, and a shard that expired will never be pulled again.
 	s.pmu.Lock()
@@ -490,8 +484,9 @@ func (s *Store) RemoveExpired(now int64, width time.Duration) []dictionary.CAID 
 	return removed
 }
 
-// ReplaceReplica atomically substitutes the replica for ca with r and
-// purges the CA's cached statuses. It is the commit step of
+// ReplaceReplica atomically substitutes the replica for ca with r, which
+// starts with an empty status table: none of the old replica's cached
+// statuses can be served from it. It is the commit step of
 // desynchronization recovery (ra.RA.Resync): the replacement is built and
 // fully synchronized off to the side, then swapped in, so the data path
 // never observes a half-rebuilt dictionary. It fails if ca is not
@@ -503,14 +498,13 @@ func (s *Store) ReplaceReplica(ca dictionary.CAID, r *dictionary.Replica) error 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.view.Load()
-	if _, ok := cur.replicas[ca]; !ok {
+	if d, ok := cur.dicts[ca]; !ok || d.replica == nil {
 		return fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
 	next := cur.clone()
-	next.replicas[ca] = r
+	next.dicts[ca] = &servedDict{replica: r}
 	next.rebuildCAs()
 	s.view.Store(next)
-	s.cache.purgeCA(ca)
 	// A replaced replica's history diverges from whatever the WAL holds
 	// (that is the point of a resync); checkpoint the new state now so a
 	// crash never replays old-history records onto it.
@@ -535,21 +529,23 @@ func (s *Store) Layout() dictionary.LayoutKind { return s.layout }
 // replica — they are read-only views of another process's state — so
 // requesting one is an error distinct from an unknown CA.
 func (s *Store) Replica(ca dictionary.CAID) (*dictionary.Replica, error) {
-	v := s.view.Load()
-	r, ok := v.replicas[ca]
+	d, ok := s.view.Load().dicts[ca]
 	if !ok {
-		if _, shared := v.shared[ca]; shared {
-			return nil, fmt.Errorf("ra: %s is served from a shared mapping (read-only)", ca)
-		}
 		return nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
-	return r, nil
+	if d.replica == nil {
+		return nil, fmt.Errorf("ra: %s is served from a shared mapping (read-only)", ca)
+	}
+	return d.replica, nil
 }
 
 // sharedFor returns the shared-mode reader for ca, if any.
 func (s *Store) sharedFor(ca dictionary.CAID) (*sharedDict, bool) {
-	d, ok := s.view.Load().shared[ca]
-	return d, ok
+	d, ok := s.view.Load().dicts[ca]
+	if !ok || d.shared == nil {
+		return nil, false
+	}
+	return d.shared, true
 }
 
 // Refresh polls every shared dictionary's stamp and re-maps the ones
@@ -558,8 +554,11 @@ func (s *Store) sharedFor(ca dictionary.CAID) (*sharedDict, bool) {
 // calls it on the same cadence it would have pulled from an origin.
 func (s *Store) Refresh() error {
 	var firstErr error
-	for _, d := range s.view.Load().shared {
-		if err := d.refresh(); err != nil && firstErr == nil {
+	for _, d := range s.view.Load().dicts {
+		if d.shared == nil {
+			continue
+		}
+		if err := d.shared.refresh(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -582,26 +581,41 @@ func (s *Store) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
 	return s.view.Load().pool.CAKey(ca)
 }
 
+// prover is a snapshot statuses are proved from: *dictionary.Snapshot
+// for an owned replica, *dictionary.MappedSnapshot for a shared reader.
+type prover interface {
+	Prove(serial.Number) (*dictionary.Status, error)
+}
+
+// current returns ca's served dictionary, its current snapshot and that
+// snapshot's generation.
+func (s *Store) current(ca dictionary.CAID) (*servedDict, prover, uint64, error) {
+	d, ok := s.view.Load().dicts[ca]
+	if !ok {
+		return nil, nil, 0, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
+	}
+	if d.shared != nil {
+		// gen and snapshot are published together, so a table's
+		// generation always labels the snapshot its statuses came from.
+		ss := d.shared.load()
+		if ss == nil {
+			return nil, nil, 0, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
+		}
+		return d, ss.snap, ss.gen, nil
+	}
+	snap := d.replica.Snapshot()
+	return d, snap, snap.Generation(), nil
+}
+
 // Prove produces the revocation status for (ca, sn) from the RA's replica
 // (Fig 2, prove; Fig 3 step 4), bypassing the status cache — each call
 // constructs a fresh proof. The data path uses Status instead.
 func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, error) {
-	if d, ok := s.sharedFor(ca); ok {
-		ss := d.load()
-		if ss == nil {
-			return nil, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
-		}
-		st, err := ss.snap.Prove(sn)
-		if err != nil {
-			return nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
-		}
-		return st, nil
-	}
-	r, err := s.Replica(ca)
+	_, snap, _, err := s.current(ca)
 	if err != nil {
 		return nil, err
 	}
-	st, err := r.Prove(sn)
+	st, err := snap.Prove(sn)
 	if err != nil {
 		return nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 	}
@@ -609,80 +623,55 @@ func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status,
 }
 
 // Status produces the revocation status for (ca, sn) with its wire
-// encoding, memoized per snapshot generation: while the replica's signed
-// root and freshness statement are unchanged (a whole ∆ window), repeated
-// requests for the same serial are served from the sharded cache as one
-// map read. The returned Status has Subject set to sn and is shared —
-// callers must treat it, and the encoded bytes, as immutable.
+// encoding, memoized per snapshot generation: while the dictionary's
+// signed root and freshness statement are unchanged (a whole ∆ window),
+// repeated requests for the same serial are served from its status table
+// as one map read. The returned Status has Subject set to sn and is
+// shared — callers must treat it, and the encoded bytes, as immutable.
 func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, []byte, error) {
-	v := s.view.Load()
-	var (
-		source cacheSource
-		gen    uint64
-		prove  func(serial.Number) (*dictionary.Status, error)
-	)
-	if d, ok := v.shared[ca]; ok {
-		ss := d.load()
-		if ss == nil {
-			return nil, nil, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
-		}
-		// gen and snapshot are published together, so the cached entry's
-		// generation always labels the snapshot it was computed from.
-		source, gen, prove = d, ss.gen, ss.snap.Prove
-	} else if r, ok := v.replicas[ca]; ok {
-		snap := r.Snapshot()
-		source, gen, prove = r, snap.Generation(), snap.Prove
-	} else {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
+	d, snap, gen, err := s.current(ca)
+	if err != nil {
+		return nil, nil, err
 	}
-	key := cacheKeyFor(ca, sn)
-	if e, ok := s.cache.get(key, source, gen); ok {
+	e, t := s.cache.get(&d.table, gen, sn.Raw())
+	if e != nil {
 		return e.status, e.encoded, nil
 	}
-	st, err := prove(sn)
+	st, err := snap.Prove(sn)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 	}
 	st.Subject = sn
-	e := &cacheEntry{source: source, gen: gen, status: st, encoded: st.Encode()}
-	s.cache.put(key, e)
-	// A concurrent Remove may have purged this CA between our view load
-	// and the put, in which case the entry just stored aliases a removed
-	// dictionary: unservable (the source check in get fails) but pinning
-	// the dead dictionary's arrays until it is evicted. Re-check the
-	// current view and purge again if we raced; one of the two purges
-	// necessarily observes the entry.
-	cur := s.view.Load()
-	if curR, ok := cur.replicas[ca]; ok {
-		if cacheSource(curR) != source {
-			s.cache.purgeCA(ca)
-		}
-	} else if curD, ok := cur.shared[ca]; ok {
-		if cacheSource(curD) != source {
-			s.cache.purgeCA(ca)
-		}
-	} else {
-		s.cache.purgeCA(ca)
+	e = &cacheEntry{status: st, encoded: st.Encode()}
+	if t != nil {
+		s.cache.put(t, sn.Raw(), e)
 	}
 	return e.status, e.encoded, nil
 }
 
-// CacheStats reports the status cache's hit/miss counters.
-func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
+// CacheStats reports the status cache's counters and its current entries
+// across every served dictionary.
+func (s *Store) CacheStats() CacheStats {
+	st := s.cache.counts()
+	for _, d := range s.view.Load().dicts {
+		st.Entries += d.table.Load().entries()
+	}
+	return st
+}
 
 // SnapshotSwaps sums the snapshot generations across all replicas: the
 // total number of atomic snapshot publications (updates + freshness
 // refreshes) the store has absorbed. Benchmarks report it next to the
-// cache hit rate, since every swap invalidates the affected CA's cached
-// statuses.
+// cache hit rate, since every swap replaces the affected dictionary's
+// status table.
 func (s *Store) SnapshotSwaps() uint64 {
 	var total uint64
-	v := s.view.Load()
-	for _, r := range v.replicas {
-		total += r.Snapshot().Generation()
-	}
-	for _, d := range v.shared {
-		total += d.CurrentGeneration()
+	for _, d := range s.view.Load().dicts {
+		if d.shared != nil {
+			total += d.shared.CurrentGeneration()
+		} else {
+			total += d.replica.Snapshot().Generation()
+		}
 	}
 	return total
 }
@@ -713,8 +702,10 @@ func (s *Store) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, error) {
 // rather than process-private heap. Zero outside shared mode.
 func (s *Store) MappedBytes() int {
 	total := 0
-	for _, d := range s.view.Load().shared {
-		total += d.mappedBytes()
+	for _, d := range s.view.Load().dicts {
+		if d.shared != nil {
+			total += d.shared.mappedBytes()
+		}
 	}
 	return total
 }
@@ -723,8 +714,10 @@ func (s *Store) MappedBytes() int {
 // (§VII-D storage overhead).
 func (s *Store) SerializedSize() int {
 	total := 0
-	for _, r := range s.view.Load().replicas {
-		total += r.SerializedSize()
+	for _, d := range s.view.Load().dicts {
+		if d.replica != nil {
+			total += d.replica.SerializedSize()
+		}
 	}
 	return total
 }
@@ -732,8 +725,10 @@ func (s *Store) SerializedSize() int {
 // MemoryFootprint sums the estimated resident sizes of all replicas.
 func (s *Store) MemoryFootprint() int {
 	total := 0
-	for _, r := range s.view.Load().replicas {
-		total += r.MemoryFootprint()
+	for _, d := range s.view.Load().dicts {
+		if d.replica != nil {
+			total += d.replica.MemoryFootprint()
+		}
 	}
 	return total
 }

@@ -734,12 +734,14 @@ func (c *Conn) serverHandshake() error {
 			return err
 		}
 	}
+	// Cache the session before Finished goes out: a client may resume
+	// the moment it has read Finished, and must find the session here.
+	if len(sh.SessionID) > 0 {
+		c.cfg.serverSessions().put(sh.SessionID, session)
+	}
 	sfin := &Finished{VerifyData: finishedMAC(master, "server finished", tr.bytes())}
 	if err := c.writeHandshake(&tr, sfin.Marshal()); err != nil {
 		return err
-	}
-	if len(sh.SessionID) > 0 {
-		c.cfg.serverSessions().put(sh.SessionID, session)
 	}
 	return c.setKeys(master, ch.Random[:], sh.Random[:])
 }
